@@ -14,7 +14,6 @@ from .estimator import (
     EstimatorConfig,
     IterationRecord,
     Termination,
-    breakdown_detected,
     check_points,
     estimate,
     fixed_point_step,
@@ -75,7 +74,6 @@ __all__ = [
     "Subspace",
     "SyntheticModel",
     "Termination",
-    "breakdown_detected",
     "check_points",
     "convergence_run",
     "distance_to_subspace",

@@ -66,14 +66,18 @@ def _parse_log_range(text):
         raise CLIError(f"need 0 < lo <= hi, got {text!r}")
     if steps < 1:
         raise CLIError(f"need at least one step, got {steps}")
-    if steps == 1:
-        return [lo]
+    # geomspace returns lo itself for a single step
     return [float(v) for v in np.geomspace(lo, hi, steps)]
 
 
-def _claim_outputs(args, *paths):
-    """Refuse to overwrite any existing output unless --force was given."""
+def _claim_outputs(args):
+    """The paths named by ``_outputs``: distinct files, the manifest included,
+    and none existing unless --force was given."""
+    paths = [getattr(args, flag) for flag in args._outputs]
     paths = [p for p in paths if p is not None]
+    claimed = [Path(p).resolve() for p in [*paths, f"{paths[0]}.manifest.json"]]
+    if len(set(claimed)) < len(claimed):
+        raise CLIError(f"outputs {', '.join(paths)} and their manifest are not distinct files")
     if not args.force:
         for p in paths:
             if Path(p).exists():
@@ -81,15 +85,10 @@ def _claim_outputs(args, *paths):
     return paths
 
 
-def _write_manifest(args, seeds, inputs, outputs, started):
-    config = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "argv") and not k.startswith("_")
-    }
+def _write_manifest(args, argv, seeds, inputs, outputs, started):
     manifest = {
-        "command_line": ["subrec", *args.argv],
-        "config": config,
+        "command_line": ["subrec", *argv],
+        "config": {k: v for k, v in vars(args).items() if not k.startswith("_")},
         "seeds": seeds,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
@@ -100,8 +99,6 @@ def _write_manifest(args, seeds, inputs, outputs, started):
 
 
 def cmd_synth(args):
-    started = time.perf_counter()
-    outputs = _claim_outputs(args, args.out, args.truth_out)
     model = SyntheticModel(
         ambient_dim=args.D,
         subspace_dim=args.d,
@@ -113,13 +110,10 @@ def cmd_synth(args):
     points, truth = generate(model)
     write_points_csv(args.out, points)
     write_truth_json(args.truth_out, truth)
-    _write_manifest(args, [args.seed], [], outputs, started)
-    return 0
+    return [args.seed], []
 
 
 def cmd_estimate(args):
-    started = time.perf_counter()
-    outputs = _claim_outputs(args, args.out, args.trace)
     points = read_points_csv(args.infile)
     truth = read_truth_json(args.truth) if args.truth else None
     config = EstimatorConfig(tol=args.tol, max_iter=args.max_iter)
@@ -157,13 +151,10 @@ def cmd_estimate(args):
             rows,
         )
     inputs = [args.infile] + ([args.truth] if args.truth else [])
-    _write_manifest(args, [], inputs, outputs, started)
-    return 0
+    return [], inputs
 
 
 def cmd_experiment_exact_recovery(args):
-    started = time.perf_counter()
-    outputs = _claim_outputs(args, args.out)
     counts = _parse_int_range(args.n_inliers_range)
     rows = exact_recovery_sweep(
         ambient_dim=args.D,
@@ -176,13 +167,10 @@ def cmd_experiment_exact_recovery(args):
         max_iter=args.max_iter,
     )
     write_rows_csv(args.out, ["n_inliers", "mean_recovery_error", "std", "trials"], rows)
-    _write_manifest(args, [args.seed], [], outputs, started)
-    return 0
+    return [args.seed], []
 
 
 def cmd_experiment_convergence(args):
-    started = time.perf_counter()
-    outputs = _claim_outputs(args, args.out)
     _, _, rows = convergence_run(
         ambient_dim=args.D,
         subspace_dim=args.d,
@@ -194,13 +182,10 @@ def cmd_experiment_convergence(args):
         max_iter=args.max_iter,
     )
     write_rows_csv(args.out, ["k", "sigma_diff_to_final", "recovery_error_k"], rows)
-    _write_manifest(args, [args.seed], [], outputs, started)
-    return 0
+    return [args.seed], []
 
 
 def cmd_experiment_noise(args):
-    started = time.perf_counter()
-    outputs = _claim_outputs(args, args.out)
     levels = _parse_log_range(args.noise_range)
     rows = noise_sweep(
         ambient_dim=args.D,
@@ -214,8 +199,7 @@ def cmd_experiment_noise(args):
         max_iter=args.max_iter,
     )
     write_rows_csv(args.out, ["epsilon", "mean_recovery_error", "std"], rows)
-    _write_manifest(args, [args.seed], [], outputs, started)
-    return 0
+    return [args.seed], []
 
 
 def _add_model_flags(parser, with_inliers=True):
@@ -252,7 +236,7 @@ def build_parser():
     synth.add_argument("--out", required=True, help="points CSV to write")
     synth.add_argument("--truth-out", required=True, help="truth JSON to write")
     synth.add_argument("--force", action="store_true", help="overwrite existing files")
-    synth.set_defaults(func=cmd_synth)
+    synth.set_defaults(_run=cmd_synth, _outputs=("out", "truth_out"))
 
     est = commands.add_parser("estimate", help="run the estimator on a points CSV")
     est.add_argument("--in", dest="infile", required=True, help="points CSV to read")
@@ -262,7 +246,7 @@ def build_parser():
     est.add_argument("--trace", help="also write a per-iteration trace CSV here")
     est.add_argument("--truth", help="truth JSON; adds recovery error to the outputs")
     est.add_argument("--force", action="store_true", help="overwrite existing files")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(_run=cmd_estimate, _outputs=("out", "trace"))
 
     experiment = commands.add_parser("experiment", help="run a sweep experiment")
     kinds = experiment.add_subparsers(dest="experiment_command", required=True)
@@ -280,7 +264,7 @@ def build_parser():
     _add_solver_flags(sweep)
     sweep.add_argument("--out", required=True, help="summary CSV to write")
     sweep.add_argument("--force", action="store_true", help="overwrite existing files")
-    sweep.set_defaults(func=cmd_experiment_exact_recovery)
+    sweep.set_defaults(_run=cmd_experiment_exact_recovery, _outputs=("out",))
 
     conv = kinds.add_parser("convergence", help="per-iteration distances for one run")
     _add_model_flags(conv)
@@ -289,7 +273,7 @@ def build_parser():
     _add_solver_flags(conv)
     conv.add_argument("--out", required=True, help="per-iteration CSV to write")
     conv.add_argument("--force", action="store_true", help="overwrite existing files")
-    conv.set_defaults(func=cmd_experiment_convergence)
+    conv.set_defaults(_run=cmd_experiment_convergence, _outputs=("out",))
 
     noise = kinds.add_parser("noise", help="recovery error across noise levels")
     _add_model_flags(noise)
@@ -302,7 +286,7 @@ def build_parser():
     _add_solver_flags(noise)
     noise.add_argument("--out", required=True, help="summary CSV to write")
     noise.add_argument("--force", action="store_true", help="overwrite existing files")
-    noise.set_defaults(func=cmd_experiment_noise)
+    noise.set_defaults(_run=cmd_experiment_noise, _outputs=("out",))
 
     return parser
 
@@ -311,15 +295,15 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = argv
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except CLIError as err:
+        outputs = _claim_outputs(args)
+        seeds, inputs = args._run(args)
+        _write_manifest(args, argv, seeds, inputs, outputs, started)
+    except (CLIError, ValueError, OSError) as err:
         print(f"subrec: {err}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as err:
-        print(f"subrec: {err}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ __all__ = [
     "quadratic_forms",
     "objective",
     "fixed_point_step",
-    "breakdown_detected",
     "estimate",
 ]
 
@@ -71,16 +70,10 @@ class EstimatorConfig:
         ``|sigma_k - sigma_{k-1}|_F / |sigma_k|_F`` falls below this.
     max_iter : int
         Iteration cap.
-    breakdown_check : bool
-        When true, additionally stop as soon as the fresh iterate fails
-        the numerical SPD threshold (eig_min <= 1e-14 * eig_max).
-        Forced breakdown (failed factorization, nonpositive or
-        non-finite quadratic forms) always stops the solver regardless.
     """
 
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    breakdown_check: bool = True
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -139,13 +132,19 @@ def check_points(data):
     return points
 
 
-def _checked_sigma(sigma, dim):
+def _factor(sigma, points, who):
+    """Cholesky factor of ``sigma`` and the quadratic forms; errors name ``who``."""
     sigma = ensure_symmetric(sigma)
+    dim = points.shape[1]
     if sigma.shape[0] != dim:
         raise ValueError(
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
-    return sigma
+    try:
+        lower = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as err:
+        raise NotSPDError(f"{who}: sigma is not positive definite ({err})") from None
+    return lower, _quad_forms(lower, points)
 
 
 def _quad_forms(lower, points):
@@ -157,15 +156,28 @@ def _quad_forms(lower, points):
         return np.sum(y * y, axis=0)
 
 
+def _singular(q):
+    """A nonpositive or non-finite form: sigma is singular in floating point."""
+    return not np.all(np.isfinite(q)) or np.any(q <= 0.0)
+
+
+def _log_det(lower):
+    return 2.0 * np.sum(np.log(np.diag(lower)))
+
+
+def _moment(points, q):
+    """Trace-one ``sum_x x x' / q_x``, or None when its trace is not positive."""
+    weighted = (points / q[:, None]).T @ points
+    weighted = (weighted + weighted.T) / 2.0
+    total = np.trace(weighted)
+    if not np.isfinite(total) or total <= 0.0:
+        return None
+    return weighted / total
+
+
 def quadratic_forms(sigma, data):
     """Evaluate ``x' inv(sigma) x`` for every row ``x`` of ``data``."""
-    points = check_points(data)
-    sigma = _checked_sigma(sigma, points.shape[1])
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as err:
-        raise NotSPDError(f"quadratic_forms: {err}") from None
-    return _quad_forms(lower, points)
+    return _factor(sigma, check_points(data), "quadratic_forms")[1]
 
 
 def objective(sigma, data):
@@ -185,19 +197,12 @@ def objective(sigma, data):
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
     points = check_points(data)
-    sigma = _checked_sigma(sigma, points.shape[1])
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as err:
-        raise NotSPDError(f"objective: sigma is not positive definite ({err})") from None
-    q = _quad_forms(lower, points)
-    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
+    lower, q = _factor(sigma, points, "objective")
+    if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
-    dim = points.shape[1]
-    log_det = 2.0 * np.sum(np.log(np.diag(lower)))
     # fsum's correctly rounded total keeps the value independent of the
     # data ordering, bit for bit
-    return float(math.fsum(np.log(q)) / points.shape[0] + log_det / dim)
+    return float(math.fsum(np.log(q)) / points.shape[0] + _log_det(lower) / points.shape[1])
 
 
 def fixed_point_step(sigma, data):
@@ -217,42 +222,13 @@ def fixed_point_step(sigma, data):
         limit.
     """
     points = check_points(data)
-    sigma = _checked_sigma(sigma, points.shape[1])
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as err:
-        raise NotSPDError(f"fixed_point_step: sigma is not positive definite ({err})") from None
-    q = _quad_forms(lower, points)
-    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
+    _, q = _factor(sigma, points, "fixed_point_step")
+    if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
-    weighted = (points / q[:, None]).T @ points
-    weighted = (weighted + weighted.T) / 2.0
-    total = np.trace(weighted)
-    if not np.isfinite(total) or total <= 0.0:
+    step = _moment(points, q)
+    if step is None:
         raise BreakdownError("fixed_point_step: update has no positive trace")
-    return weighted / total
-
-
-def breakdown_detected(sigma, data):
-    """True when ``sigma`` is numerically unusable for the iteration.
-
-    Checks the SPD threshold (eig_min > 1e-14 * eig_max), the Cholesky
-    factorization, and positivity of every quadratic form.  In the
-    exact-recovery regime this turns true while all quantities are
-    still finite, which is why the solver can stop there and hand back
-    a meaningful iterate.
-    """
-    points = check_points(data)
-    sigma = _checked_sigma(sigma, points.shape[1])
-    vals = np.linalg.eigvalsh(sigma)
-    if vals[-1] <= 0.0 or vals[0] <= SPD_RTOL * vals[-1]:
-        return True
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        return True
-    q = _quad_forms(lower, points)
-    return bool(np.any(q <= 0.0) or not np.all(np.isfinite(q)))
+    return step
 
 
 def estimate(data, config=None, keep_iterates=False):
@@ -263,8 +239,7 @@ def estimate(data, config=None, keep_iterates=False):
     data : array_like, shape (N, D)
         Row points, none of them zero.
     config : EstimatorConfig, optional
-        Stopping rule and breakdown handling; defaults to
-        ``tol=1e-8, max_iter=1000, breakdown_check=True``.
+        Stopping rule; defaults to ``tol=1e-8, max_iter=1000``.
     keep_iterates : bool
         Also store every iterate (including the initializer) on the
         result.  Needed by the convergence experiment; off by default
@@ -283,7 +258,9 @@ def estimate(data, config=None, keep_iterates=False):
     Breakdown is a successful termination: when the iterates collapse
     toward a singular matrix (the exact-recovery regime), the result
     carries the last finite usable iterate, whose top eigenspace is the
-    recovered subspace.
+    recovered subspace.  It stops there once an iterate fails the SPD
+    threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
+    formed (no positive trace, failed factorization, singular forms).
     """
     points = check_points(data)
     if config is None:
@@ -291,42 +268,33 @@ def estimate(data, config=None, keep_iterates=False):
     dim = points.shape[1]
 
     sigma = np.eye(dim) / dim
-    lower = np.linalg.cholesky(sigma)
-    q = _quad_forms(lower, points)
+    _, q = _factor(sigma, points, "estimate")
     trace: list[IterationRecord] = []
     iterates: list[np.ndarray] | None = [sigma.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
     iterations = 0
 
+    # the private kernel, not the public entry points: their re-validation
+    # of data and sigma costs a third of an iteration on small problems
     for k in range(1, config.max_iter + 1):
-        weighted = (points / q[:, None]).T @ points
-        weighted = (weighted + weighted.T) / 2.0
-        total = np.trace(weighted)
-        if not np.isfinite(total) or total <= 0.0:
-            termination = Termination.BREAKDOWN
-            break
-        candidate = weighted / total
-
-        rel_step = float(
-            np.linalg.norm(candidate - sigma) / np.linalg.norm(candidate)
-        )
-        vals = np.linalg.eigvalsh(candidate)
-        usable = True
-        try:
-            lower = np.linalg.cholesky(candidate)
-            q = _quad_forms(lower, points)
-            if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
-                usable = False
-        except np.linalg.LinAlgError:
-            usable = False
-        if not usable:
+        candidate = _moment(points, q)
+        if candidate is not None:
+            rel_step = float(
+                np.linalg.norm(candidate - sigma) / np.linalg.norm(candidate)
+            )
+            vals = np.linalg.eigvalsh(candidate)
+            try:
+                lower = np.linalg.cholesky(candidate)
+                q = _quad_forms(lower, points)
+            except np.linalg.LinAlgError:
+                candidate = None
+        if candidate is None or _singular(q):
             # keep the previous iterate, the last one finite arithmetic could use
             termination = Termination.BREAKDOWN
             break
 
-        cost = float(
-            np.mean(np.log(q)) + 2.0 * np.sum(np.log(np.diag(lower))) / dim
-        )
+        # np.mean, not objective()'s fsum, which is three times slower
+        cost = float(np.mean(np.log(q)) + _log_det(lower) / dim)
         sigma = candidate
         iterations = k
         trace.append(IterationRecord(k, cost, rel_step, float(vals[0])))
@@ -336,7 +304,7 @@ def estimate(data, config=None, keep_iterates=False):
         if rel_step < config.tol:
             termination = Termination.CONVERGED
             break
-        if config.breakdown_check and vals[0] <= SPD_RTOL * vals[-1]:
+        if vals[0] <= SPD_RTOL * vals[-1]:
             termination = Termination.BREAKDOWN
             break
 

@@ -69,13 +69,24 @@ def recovery_trial(
     return recovery_error(found, truth)
 
 
-def _trial_errors(trial, trials, seed, threads):
+def _sweep(field, values, trials, seed, threads, **fixed):
+    """``(value, mean, std)`` recovery-error rows as the :func:`recovery_trial`
+    argument ``field`` takes each of ``values``; trial ``i`` uses ``seed + i``."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     workers = resolve_threads(threads)
-    indexes = range(trials)
-    if workers == 1:
-        return [trial(seed + i) for i in indexes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: trial(seed + i), indexes))
+    rows = []
+    for value in values:
+        # recovery_trial is looked up per call, so a wrapped one sees every trial
+        def trial(i):
+            return recovery_trial(seed=seed + i, **fixed, **{field: value})
+        if workers == 1:
+            errors = [trial(i) for i in range(trials)]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                errors = list(pool.map(trial, range(trials)))
+        rows.append((value, float(np.mean(errors)), float(np.std(errors))))
+    return rows
 
 
 def exact_recovery_sweep(
@@ -94,18 +105,12 @@ def exact_recovery_sweep(
 
     Returns one ``(n_inliers, mean, std, trials)`` row per count.
     """
-    rows = []
-    for n_inliers in inlier_counts:
-        def trial(trial_seed, n=int(n_inliers)):
-            return recovery_trial(
-                ambient_dim, subspace_dim, n, n_outliers, noise, trial_seed,
-                tol=tol, max_iter=max_iter,
-            )
-        errors = _trial_errors(trial, trials, seed, threads)
-        rows.append(
-            (int(n_inliers), float(np.mean(errors)), float(np.std(errors)), trials)
-        )
-    return rows
+    rows = _sweep(
+        "n_inliers", [int(n) for n in inlier_counts], trials, seed, threads,
+        ambient_dim=ambient_dim, subspace_dim=subspace_dim, n_outliers=n_outliers,
+        noise=noise, tol=tol, max_iter=max_iter,
+    )
+    return [(*row, trials) for row in rows]
 
 
 def convergence_run(
@@ -164,13 +169,8 @@ def noise_sweep(
     threads=None,
 ):
     """Mean recovery error per noise level; one ``(epsilon, mean, std)`` row each."""
-    rows = []
-    for eps in noise_levels:
-        def trial(trial_seed, e=float(eps)):
-            return recovery_trial(
-                ambient_dim, subspace_dim, n_inliers, n_outliers, e, trial_seed,
-                tol=tol, max_iter=max_iter,
-            )
-        errors = _trial_errors(trial, trials, seed, threads)
-        rows.append((float(eps), float(np.mean(errors)), float(np.std(errors))))
-    return rows
+    return _sweep(
+        "noise", [float(e) for e in noise_levels], trials, seed, threads,
+        ambient_dim=ambient_dim, subspace_dim=subspace_dim, n_inliers=n_inliers,
+        n_outliers=n_outliers, tol=tol, max_iter=max_iter,
+    )

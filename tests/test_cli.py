@@ -138,6 +138,20 @@ def test_synth_refuses_overwrite(tmp_path, capsys):
     assert "pass --force to overwrite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "out, truth_out",
+    [("p", "p"), ("q.csv", "q.csv.manifest.json"), ("r.csv", "sub/../r.csv")],
+)
+def test_synth_refuses_colliding_outputs(tmp_path, capsys, out, truth_out):
+    # --force must not let one output overwrite another or the manifest
+    argv = synth_args(tmp_path, force=True)
+    argv[argv.index("--out") + 1] = str(tmp_path / out)
+    argv[argv.index("--truth-out") + 1] = str(tmp_path / truth_out)
+    assert main(argv) == 1
+    assert "not distinct files" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_force_rerun_is_byte_identical(tmp_path):
     assert main(synth_args(tmp_path)) == 0
     first = (tmp_path / "points.csv").read_bytes()
@@ -342,6 +356,12 @@ def test_experiment_noise(tmp_path):
           "--n-inliers-range", "5", "--out", "x.csv"], "lo:hi:step"),
         (["noise", "--D", "4", "--d", "2", "--n-inliers", "12", "--n-outliers", "6",
           "--noise-range", "0:1:2", "--out", "x.csv"], "0 < lo"),
+        (["exact-recovery", "--D", "4", "--d", "2", "--n-outliers", "6",
+          "--n-inliers-range", "8:8:1", "--trials", "0", "--out", "x.csv"],
+         "trials must be at least 1, got 0"),
+        (["noise", "--D", "4", "--d", "2", "--n-inliers", "12", "--n-outliers", "6",
+          "--noise-range", "0.01:0.01:1", "--trials", "-3", "--out", "x.csv"],
+         "trials must be at least 1, got -3"),
     ],
 )
 def test_experiment_rejects_bad_ranges(tmp_path, capsys, argv_tail, message):
@@ -349,6 +369,7 @@ def test_experiment_rejects_bad_ranges(tmp_path, capsys, argv_tail, message):
     argv[argv.index("x.csv")] = str(tmp_path / "x.csv")
     assert main(argv) == 1
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------- misc

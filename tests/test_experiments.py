@@ -70,13 +70,15 @@ def test_sweep_is_thread_count_independent():
 
 
 def test_sweep_matches_manual_trials():
-    row = exact_recovery_sweep(4, 2, 6, [10], trials=2, seed=5)[0]
-    manual = [
-        recovery_trial(4, 2, 10, 6, 0.0, 5),
-        recovery_trial(4, 2, 10, 6, 0.0, 6),
-    ]
-    assert row[1] == float(np.mean(manual))
-    assert row[2] == float(np.std(manual))
+    # both sweeps run the same grid loop
+    for sweep, args in [
+        (lambda **kw: exact_recovery_sweep(4, 2, 6, [10], **kw), (4, 2, 10, 6, 0.0)),
+        (lambda **kw: noise_sweep(4, 2, 10, 6, [0.01], **kw), (4, 2, 10, 6, 0.01)),
+    ]:
+        row = sweep(trials=2, seed=5)[0]
+        manual = [recovery_trial(*args, 5), recovery_trial(*args, 6)]
+        assert row[1] == float(np.mean(manual))
+        assert row[2] == float(np.std(manual))
 
 
 def test_convergence_run_rows():
