@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import get_blas_funcs
 
 from .geometry import SPD_RTOL, NotSPDError, ensure_symmetric
 
@@ -45,6 +45,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
+
+# Data whose largest entry is outside [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT]
+# is rescaled by a power of two before the solve: the quadratic forms grow
+# with the square of the data and would overflow or underflow at the extremes.
+_SAFE_EXPONENT = 256
+
+_TRSM = get_blas_funcs("trsm", dtype=np.float64)
 
 
 class Termination(str, Enum):
@@ -125,14 +132,28 @@ def check_points(data):
         raise ValueError(f"data must contain at least one point, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValueError("data has non-finite entries")
-    row_norms = np.linalg.norm(points, axis=1)
-    if np.any(row_norms == 0.0):
-        bad = int(np.flatnonzero(row_norms == 0.0)[0])
+    # exact, unlike a row norm, whose squares underflow for tiny points
+    zero_rows = ~points.any(axis=1)
+    if zero_rows.any():
+        bad = int(np.flatnonzero(zero_rows)[0])
         raise ValueError(f"data contains the zero point at row {bad}")
     return points
 
 
-def _factor(sigma, points, who):
+def _rescaled(points):
+    """``points`` times the power of two that brings its largest entry
+    into [1/2, 1), or ``points`` itself when that entry is in the safe range.
+
+    A power of two scales every quadratic form by its exact square, so
+    the trace-one moment, and with it every iterate, is unchanged.
+    """
+    exponent = math.frexp(max(points.max(), -points.min()))[1]
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return points
+    return np.ldexp(points, -exponent)
+
+
+def _factor(sigma, points, who, work):
     """Cholesky factor of ``sigma`` and the quadratic forms; errors name ``who``."""
     sigma = ensure_symmetric(sigma)
     dim = points.shape[1]
@@ -144,40 +165,58 @@ def _factor(sigma, points, who):
         lower = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as err:
         raise NotSPDError(f"{who}: sigma is not positive definite ({err})") from None
-    return lower, _quad_forms(lower, points)
+    return lower, _quad_forms(lower, points, work)
 
 
-def _quad_forms(lower, points):
-    # x' inv(sigma) x == |solve(L, x)|^2 for the Cholesky factor L of sigma;
-    # sigma is never inverted explicitly.  Overflow to inf is a handled
-    # breakdown signal downstream, not worth a warning here.
-    y = scipy.linalg.solve_triangular(lower, points.T, lower=True, check_finite=False)
+def _quad_forms(lower, points, work):
+    """``x' inv(sigma) x`` for every row, as ``|solve(L, x)|^2`` for the
+    Cholesky factor L of sigma; sigma is never inverted explicitly.
+
+    ``work`` is scratch shaped like ``points``; the solve overwrites it.
+    """
+    # BLAS trsm directly: LAPACK trtrs adds only a zero-diagonal check,
+    # which a factor from a successful Cholesky cannot fail.  L is passed
+    # as its Fortran-ordered transpose with trans_a, the call trtrs makes.
+    # The result is Fortran-ordered, so the column sums below add in the
+    # same order as on trtrs's result.
+    y = work.T
+    np.copyto(y, points.T)
+    y = _TRSM(1.0, lower.T, y, lower=0, trans_a=1, overwrite_b=1)
+    # overflow to inf is a handled breakdown signal downstream, not
+    # worth a warning here
     with np.errstate(over="ignore"):
-        return np.sum(y * y, axis=0)
+        np.multiply(y, y, out=y)
+    return np.add.reduce(y, axis=0)
 
 
 def _singular(q):
     """A nonpositive or non-finite form: sigma is singular in floating point."""
-    return not np.all(np.isfinite(q)) or np.any(q <= 0.0)
+    return not (q.min() > 0.0 and q.max() < math.inf)
 
 
 def _log_det(lower):
-    return 2.0 * np.sum(np.log(np.diag(lower)))
+    return 2.0 * np.add.reduce(np.log(lower.diagonal()))
 
 
-def _moment(points, q):
-    """Trace-one ``sum_x x x' / q_x``, or None when its trace is not positive."""
-    weighted = (points / q[:, None]).T @ points
-    weighted = (weighted + weighted.T) / 2.0
-    total = np.trace(weighted)
-    if not np.isfinite(total) or total <= 0.0:
+def _moment(points, q, work):
+    """Trace-one ``sum_x x x' / q_x``, or None when its trace is not positive.
+
+    ``work`` is scratch shaped like ``points``.
+    """
+    weighted = np.divide(points, q[:, None], out=work).T @ points
+    weighted = weighted + weighted.T
+    weighted /= 2.0
+    total = float(weighted.trace())
+    if not 0.0 < total < math.inf:
         return None
-    return weighted / total
+    weighted /= total
+    return weighted
 
 
 def quadratic_forms(sigma, data):
     """Evaluate ``x' inv(sigma) x`` for every row ``x`` of ``data``."""
-    return _factor(sigma, check_points(data), "quadratic_forms")[1]
+    points = check_points(data)
+    return _factor(sigma, points, "quadratic_forms", np.empty_like(points))[1]
 
 
 def objective(sigma, data):
@@ -197,7 +236,7 @@ def objective(sigma, data):
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
     points = check_points(data)
-    lower, q = _factor(sigma, points, "objective")
+    lower, q = _factor(sigma, points, "objective", np.empty_like(points))
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
     # fsum's correctly rounded total keeps the value independent of the
@@ -221,11 +260,12 @@ def fixed_point_step(sigma, data):
         floating-point signal that the iteration has hit a singular
         limit.
     """
-    points = check_points(data)
-    _, q = _factor(sigma, points, "fixed_point_step")
+    points = _rescaled(check_points(data))
+    work = np.empty_like(points)
+    _, q = _factor(sigma, points, "fixed_point_step", work)
     if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
-    step = _moment(points, q)
+    step = _moment(points, q, work)
     if step is None:
         raise BreakdownError("fixed_point_step: update has no positive trace")
     return step
@@ -261,40 +301,53 @@ def estimate(data, config=None, keep_iterates=False):
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
     formed (no positive trace, failed factorization, singular forms).
+
+    Data whose largest entry is beyond about 1e77 or below about 1e-77
+    is first multiplied by the power of two that brings that entry into
+    [1/2, 1).  The iterates are those of the given data; the trace's
+    objective values are those of the rescaled data, which differ from
+    the given data's by a constant.
     """
-    points = check_points(data)
+    points = _rescaled(check_points(data))
     if config is None:
         config = EstimatorConfig()
-    dim = points.shape[1]
+    n, dim = points.shape
 
+    # scratch for every solve and moment of this call; local, because
+    # sweeps may run estimates on several threads at once
+    work = np.empty_like(points)
     sigma = np.eye(dim) / dim
-    _, q = _factor(sigma, points, "estimate")
+    _, q = _factor(sigma, points, "estimate", work)
     trace: list[IterationRecord] = []
     iterates: list[np.ndarray] | None = [sigma.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
     iterations = 0
 
-    # the private kernel, not the public entry points: their re-validation
-    # of data and sigma costs a third of an iteration on small problems
+    # the private kernel, not the public entry points, whose re-validation
+    # of data and sigma costs a third of an iteration on small problems.
+    # Small iterations are mostly call overhead, so each step is the
+    # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
+    # takes a Frobenius norm, add.reduce / n is np.mean without its wrapper.
     for k in range(1, config.max_iter + 1):
-        candidate = _moment(points, q)
+        candidate = _moment(points, q, work)
         if candidate is not None:
-            rel_step = float(
-                np.linalg.norm(candidate - sigma) / np.linalg.norm(candidate)
-            )
+            diff = (candidate - sigma).ravel()
+            flat = candidate.ravel()
+            rel_step = math.sqrt(diff.dot(diff)) / math.sqrt(flat.dot(flat))
             vals = np.linalg.eigvalsh(candidate)
             try:
                 lower = np.linalg.cholesky(candidate)
-                q = _quad_forms(lower, points)
             except np.linalg.LinAlgError:
                 candidate = None
+            else:
+                q = _quad_forms(lower, points, work)
         if candidate is None or _singular(q):
             # keep the previous iterate, the last one finite arithmetic could use
             termination = Termination.BREAKDOWN
             break
 
-        # np.mean, not objective()'s fsum, which is three times slower
-        cost = float(np.mean(np.log(q)) + _log_det(lower) / dim)
+        # add.reduce, not objective()'s fsum, which is three times slower
+        cost = float(np.add.reduce(np.log(q)) / n + _log_det(lower) / dim)
         sigma = candidate
         iterations = k
         trace.append(IterationRecord(k, cost, rel_step, float(vals[0])))

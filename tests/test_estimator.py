@@ -1,6 +1,7 @@
 """Estimator tests: hand examples, dual-route oracles, solver behavior."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from subrec.estimator import (
 )
 from subrec.geometry import NotSPDError, geometric_mean
 from subrec.subspace import Subspace, recovery_error, top_d_subspace
+from subrec.synthetic import SyntheticModel, generate
 
 # three collinear inliers on span{e1} plus two outliers: inlier
 # fraction 3/5 is above the 1/2 transition, so the iterates collapse
@@ -50,6 +52,8 @@ def test_check_points_accepts_lists():
         (np.empty((0, 2)), "at least one point"),
         (np.array([[1.0, np.inf]]), "non-finite"),
         (np.array([[1.0, 1.0], [0.0, 0.0]]), "zero point at row 1"),
+        # row 0's squares underflow, but only row 1 is zero
+        (np.array([[1e-170, -1e-170], [0.0, -0.0]]), "zero point at row 1"),
     ],
 )
 def test_check_points_rejects(bad, match):
@@ -240,6 +244,9 @@ def test_estimate_trace_invariants():
             assert abs(rec.objective - objective(result.iterates[rec.k], data)) <= 1e-12
         for it in result.iterates[1:]:
             assert abs(np.trace(it) - 1.0) <= 1e-12
+        # the loop is the public step, bit for bit
+        for before, after in zip(result.iterates, result.iterates[1:]):
+            assert np.array_equal(after, fixed_point_step(before, data))
         if result.termination == Termination.CONVERGED:
             assert result.trace[-1].rel_step < EstimatorConfig().tol
 
@@ -263,6 +270,26 @@ def test_estimate_does_not_mutate_input():
     copy = data.copy()
     estimate(data)
     assert np.array_equal(data, copy)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_estimate_at_extreme_scales(scale):
+    # unscaled, the quadratic forms at I/D overflow at 1e160 and the
+    # squares of every entry underflow at 1e-170
+    points, truth = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    dim = points.shape[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate(points * scale)
+        assert result.termination == Termination.CONVERGED
+        assert recovery_error(top_d_subspace(result.sigma, 5), truth) <= 1e-6
+        # a power of two changes no iterate and no step
+        exact = 2.0 ** round(math.log2(scale))
+        assert np.array_equal(estimate(points * exact).sigma, estimate(points).sigma)
+        start = np.eye(dim) / dim
+        assert np.array_equal(
+            fixed_point_step(start, points * exact), fixed_point_step(start, points)
+        )
 
 
 def test_estimate_degenerate_span_breaks_down():
