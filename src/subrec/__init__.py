@@ -25,7 +25,6 @@ from .experiments import (
     exact_recovery_sweep,
     noise_sweep,
     recovery_trial,
-    resolve_threads,
 )
 from .geometry import (
     NotSPDError,
@@ -94,7 +93,6 @@ __all__ = [
     "recovery_condition",
     "recovery_error",
     "recovery_trial",
-    "resolve_threads",
     "spd_distance",
     "spd_sqrt",
     "spherical_projection",

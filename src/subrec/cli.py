@@ -117,8 +117,15 @@ def cmd_estimate(args):
     points = read_points_csv(args.infile)
     truth = read_truth_json(args.truth) if args.truth else None
     config = EstimatorConfig(tol=args.tol, max_iter=args.max_iter)
-    want_iterates = args.trace is not None and truth is not None
-    result = estimate(points, config, keep_iterates=want_iterates)
+    rows = []
+
+    def observe(sigma, rec):
+        err = None
+        if truth is not None:
+            err = recovery_error(top_d_subspace(sigma, args.d), truth)
+        rows.append((rec.k, rec.objective, rec.rel_step, rec.eig_min, err))
+
+    result = estimate(points, config, observer=observe if args.trace is not None else None)
 
     found = top_d_subspace(result.sigma, args.d)
     final_objective = (
@@ -138,13 +145,6 @@ def cmd_estimate(args):
     write_json(args.out, payload)
 
     if args.trace is not None:
-        rows = []
-        for rec in result.trace:
-            err = None
-            if want_iterates:
-                at_k = top_d_subspace(result.iterates[rec.k], args.d)
-                err = recovery_error(at_k, truth)
-            rows.append((rec.k, rec.objective, rec.rel_step, rec.eig_min, err))
         write_rows_csv(
             args.trace,
             ["k", "objective", "rel_step", "lambda_min", "recovery_error"],

@@ -105,16 +105,13 @@ class EstimateResult:
 
     ``sigma`` is the last finite usable iterate (trace one, symmetric).
     ``trace`` holds one :class:`IterationRecord` per produced iterate,
-    so ``len(trace) == iterations``.  ``iterates`` is populated only
-    when the solver was asked to keep them; entry ``i`` is the iterate
-    after ``i`` updates, starting with the initializer at index 0.
+    so ``len(trace) == iterations``.
     """
 
     sigma: np.ndarray
     termination: Termination
     iterations: int
     trace: list[IterationRecord]
-    iterates: list[np.ndarray] | None = None
 
 
 def check_points(data):
@@ -141,16 +138,18 @@ def check_points(data):
 
 
 def _rescaled(points):
-    """``points`` times the power of two that brings its largest entry
-    into [1/2, 1), or ``points`` itself when that entry is in the safe range.
+    """``(points * 2**-e, e)`` with ``e`` the exponent that brings the
+    largest entry into [1/2, 1), or ``(points, 0)`` when that entry is in
+    the safe range.
 
     A power of two scales every quadratic form by its exact square, so
-    the trace-one moment, and with it every iterate, is unchanged.
+    the trace-one moment, and with it every iterate, is unchanged; the
+    cost drops by exactly ``2 e ln 2``.
     """
     exponent = math.frexp(max(points.max(), -points.min()))[1]
     if abs(exponent) <= _SAFE_EXPONENT:
-        return points
-    return np.ldexp(points, -exponent)
+        return points, 0
+    return np.ldexp(points, -exponent), exponent
 
 
 def _factor(sigma, points, who, work):
@@ -235,13 +234,14 @@ def objective(sigma, data):
     float
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
-    points = check_points(data)
+    points, exponent = _rescaled(check_points(data))
     lower, q = _factor(sigma, points, "objective", np.empty_like(points))
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
     # fsum's correctly rounded total keeps the value independent of the
     # data ordering, bit for bit
-    return float(math.fsum(np.log(q)) / points.shape[0] + _log_det(lower) / points.shape[1])
+    cost = float(math.fsum(np.log(q)) / points.shape[0] + _log_det(lower) / points.shape[1])
+    return cost + 2.0 * exponent * math.log(2.0) if exponent else cost
 
 
 def fixed_point_step(sigma, data):
@@ -260,7 +260,7 @@ def fixed_point_step(sigma, data):
         floating-point signal that the iteration has hit a singular
         limit.
     """
-    points = _rescaled(check_points(data))
+    points, _ = _rescaled(check_points(data))
     work = np.empty_like(points)
     _, q = _factor(sigma, points, "fixed_point_step", work)
     if _singular(q):
@@ -271,7 +271,7 @@ def fixed_point_step(sigma, data):
     return step
 
 
-def estimate(data, config=None, keep_iterates=False):
+def estimate(data, config=None, observer=None):
     """Run the fixed-point iteration from ``identity / D`` to termination.
 
     Parameters
@@ -280,10 +280,11 @@ def estimate(data, config=None, keep_iterates=False):
         Row points, none of them zero.
     config : EstimatorConfig, optional
         Stopping rule; defaults to ``tol=1e-8, max_iter=1000``.
-    keep_iterates : bool
-        Also store every iterate (including the initializer) on the
-        result.  Needed by the convergence experiment; off by default
-        to keep memory flat.
+    observer : callable, optional
+        Called as ``observer(sigma, record)`` once per produced iterate,
+        with the iterate itself and its :class:`IterationRecord`.  Each
+        iterate is a fresh array that the solver never writes again, so
+        the observer may keep it without a copy; it must not modify it.
 
     Returns
     -------
@@ -304,11 +305,10 @@ def estimate(data, config=None, keep_iterates=False):
 
     Data whose largest entry is beyond about 1e77 or below about 1e-77
     is first multiplied by the power of two that brings that entry into
-    [1/2, 1).  The iterates are those of the given data; the trace's
-    objective values are those of the rescaled data, which differ from
-    the given data's by a constant.
+    [1/2, 1); the iterates and objective values are those of the given
+    data.
     """
-    points = _rescaled(check_points(data))
+    points, exponent = _rescaled(check_points(data))
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
@@ -319,7 +319,6 @@ def estimate(data, config=None, keep_iterates=False):
     sigma = np.eye(dim) / dim
     _, q = _factor(sigma, points, "estimate", work)
     trace: list[IterationRecord] = []
-    iterates: list[np.ndarray] | None = [sigma.copy()] if keep_iterates else None
     termination = Termination.MAX_ITERATIONS
     iterations = 0
 
@@ -348,11 +347,15 @@ def estimate(data, config=None, keep_iterates=False):
 
         # add.reduce, not objective()'s fsum, which is three times slower
         cost = float(np.add.reduce(np.log(q)) / n + _log_det(lower) / dim)
+        if exponent:
+            # the cost of the given data, not of the rescaled one
+            cost += 2.0 * exponent * math.log(2.0)
         sigma = candidate
         iterations = k
-        trace.append(IterationRecord(k, cost, rel_step, float(vals[0])))
-        if keep_iterates:
-            iterates.append(sigma.copy())
+        record = IterationRecord(k, cost, rel_step, float(vals[0]))
+        trace.append(record)
+        if observer is not None:
+            observer(sigma, record)
 
         if rel_step < config.tol:
             termination = Termination.CONVERGED
@@ -362,9 +365,5 @@ def estimate(data, config=None, keep_iterates=False):
             break
 
     return EstimateResult(
-        sigma=sigma,
-        termination=termination,
-        iterations=iterations,
-        trace=trace,
-        iterates=iterates,
+        sigma=sigma, termination=termination, iterations=iterations, trace=trace
     )

@@ -2,13 +2,13 @@
 
 Each driver generates seeded synthetic data, runs the estimator, and
 returns plain rows ready for CSV output.  Trials are independent, use
-``seed + trial_index``, and may run in parallel; results are merged by
-trial index, so thread count never changes the numbers.
+``seed + trial_index``, and run on the calling thread unless a sweep is
+given ``threads > 1``; results are merged by trial index, so thread
+count never changes the numbers.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,25 +18,11 @@ from .subspace import recovery_error, top_d_subspace
 from .synthetic import SyntheticModel, generate
 
 __all__ = [
-    "resolve_threads",
     "recovery_trial",
     "exact_recovery_sweep",
     "convergence_run",
     "noise_sweep",
 ]
-
-
-def resolve_threads(threads=None):
-    """Thread cap for trial loops: argument, then SUBREC_THREADS, then CPU count."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SUBREC_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SUBREC_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def recovery_trial(
@@ -71,19 +57,19 @@ def recovery_trial(
 
 def _sweep(field, values, trials, seed, threads, **fixed):
     """``(value, mean, std)`` recovery-error rows as the :func:`recovery_trial`
-    argument ``field`` takes each of ``values``; trial ``i`` uses ``seed + i``."""
+    argument ``field`` takes each of ``values``; trial ``i`` uses ``seed + i``,
+    on up to ``threads`` threads."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    workers = resolve_threads(threads)
     rows = []
     for value in values:
         # recovery_trial is looked up per call, so a wrapped one sees every trial
         def trial(i):
             return recovery_trial(seed=seed + i, **fixed, **{field: value})
-        if workers == 1:
+        if threads <= 1:
             errors = [trial(i) for i in range(trials)]
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
                 errors = list(pool.map(trial, range(trials)))
         rows.append((value, float(np.mean(errors)), float(np.std(errors))))
     return rows
@@ -99,7 +85,7 @@ def exact_recovery_sweep(
     noise=0.0,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
-    threads=None,
+    threads=1,
 ):
     """Mean recovery error as the inlier count sweeps across the transition.
 
@@ -138,18 +124,19 @@ def convergence_run(
         seed=seed,
     )
     points, truth = generate(model)
+    iterates = []
     result = estimate(
-        points, EstimatorConfig(tol=tol, max_iter=max_iter), keep_iterates=True
+        points,
+        EstimatorConfig(tol=tol, max_iter=max_iter),
+        observer=lambda sigma, record: iterates.append(sigma),
     )
-    final = result.iterates[-1]
     rows = []
-    for k in range(1, result.iterations + 1):
-        iterate = result.iterates[k]
+    for k, iterate in enumerate(iterates, start=1):
         found = top_d_subspace(iterate, subspace_dim)
         rows.append(
             (
                 k,
-                float(np.linalg.norm(iterate - final)),
+                float(np.linalg.norm(iterate - result.sigma)),
                 recovery_error(found, truth),
             )
         )
@@ -166,7 +153,7 @@ def noise_sweep(
     seed,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
-    threads=None,
+    threads=1,
 ):
     """Mean recovery error per noise level; one ``(epsilon, mean, std)`` row each."""
     return _sweep(

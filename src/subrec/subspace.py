@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import check_points
+from .estimator import _rescaled, check_points
 from .geometry import sym_eigendecompose
 
 __all__ = [
@@ -161,9 +161,12 @@ def subspace_members(points, subspace, rtol=MEMBERSHIP_RTOL):
     """Boolean mask of the rows of ``points`` lying in the subspace.
 
     A row counts as a member when its residual against the subspace is
-    at most ``rtol`` times its norm.
+    at most ``rtol`` times its norm.  The test is scale invariant, so
+    data whose largest entry is at an extreme scale is compared after an
+    exact power-of-two rescaling, where the squared norms at that scale
+    neither overflow nor underflow.
     """
-    points = check_points(points)
+    points, _ = _rescaled(check_points(points))
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(
             f"points live in dimension {points.shape[1]}, "

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import check_points
+from .estimator import _rescaled, check_points
 from .oracles import iter_subsets
 from .subspace import RANK_RTOL, Subspace, subspace_members
 
@@ -128,9 +128,11 @@ def spherical_projection(data):
 
     The estimator's update and minimizer do not depend on point
     magnitudes, so this changes neither; it is useful for conditioning
-    data sets with wildly mixed scales.
+    data sets with wildly mixed scales.  Data whose largest entry is at
+    an extreme scale is first rescaled by an exact power of two, so the
+    norms at that scale neither overflow nor underflow.
     """
-    points = check_points(data)
+    points, _ = _rescaled(check_points(data))
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 

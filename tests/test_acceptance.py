@@ -192,8 +192,9 @@ def test_criterion_7_invariant_suite(capfd):
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         data = random_points(rng, 4 * dim, dim)
-        result = estimate(data, keep_iterates=True)
-        for iterate in result.iterates:
+        iterates = [np.eye(dim) / dim]
+        result = estimate(data, observer=lambda sigma, rec: iterates.append(sigma))
+        for iterate in iterates:
             trace_dev = max(trace_dev, abs(float(np.trace(iterate)) - 1.0))
         costs = np.array([rec.objective for rec in result.trace])
         if len(costs) > 1:

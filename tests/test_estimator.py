@@ -231,24 +231,32 @@ def test_estimate_trace_invariants():
     for _ in range(10):
         dim = int(rng.integers(2, 6))
         data = random_points(rng, int(rng.integers(3 * dim, 40)), dim)
-        result = estimate(data, keep_iterates=True)
+        seen = []
+        result = estimate(data, observer=lambda sigma, rec: seen.append((sigma, rec)))
+        iterates = [np.eye(dim) / dim] + [sigma for sigma, _ in seen]
         assert len(result.trace) == result.iterations
-        assert len(result.iterates) == result.iterations + 1
-        np.testing.assert_allclose(result.iterates[0], np.eye(dim) / dim)
-        np.testing.assert_allclose(result.iterates[-1], result.sigma)
+        assert len(iterates) == result.iterations + 1
+        assert [rec for _, rec in seen] == result.trace
+        np.testing.assert_allclose(iterates[-1], result.sigma)
         costs = [rec.objective for rec in result.trace]
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
         # the loop's cost and objective() share the factorization but
         # sum the logs differently (np.mean against fsum)
         for rec in result.trace:
-            assert abs(rec.objective - objective(result.iterates[rec.k], data)) <= 1e-12
-        for it in result.iterates[1:]:
+            assert abs(rec.objective - objective(iterates[rec.k], data)) <= 1e-12
+        for it in iterates[1:]:
             assert abs(np.trace(it) - 1.0) <= 1e-12
         # the loop is the public step, bit for bit
-        for before, after in zip(result.iterates, result.iterates[1:]):
+        for before, after in zip(iterates, iterates[1:]):
             assert np.array_equal(after, fixed_point_step(before, data))
         if result.termination == Termination.CONVERGED:
             assert result.trace[-1].rel_step < EstimatorConfig().tol
+        # observing a run changes nothing about it
+        plain = estimate(data)
+        assert np.array_equal(plain.sigma, result.sigma)
+        assert plain.trace == result.trace
+        assert plain.termination == result.termination
+        assert plain.iterations == result.iterations
 
 
 def test_estimate_fixed_point_residual_and_identity():
@@ -290,6 +298,12 @@ def test_estimate_at_extreme_scales(scale):
         assert np.array_equal(
             fixed_point_step(start, points * exact), fixed_point_step(start, points)
         )
+        # scaling the data by s shifts the cost by exactly 2 log s, and
+        # the trace reports the cost of the given data
+        sigma = result.sigma
+        shift = objective(sigma, points * scale) - objective(sigma, points)
+        assert abs(shift - 2.0 * math.log(scale)) <= 1e-12
+        assert abs(result.trace[-1].objective - objective(sigma, points * scale)) <= 1e-12
 
 
 def test_estimate_degenerate_span_breaks_down():

@@ -1,41 +1,13 @@
 """Experiment drivers: seeding, row shapes, thread independence."""
 
-import os
-
 import numpy as np
-import pytest
 
 from subrec.experiments import (
     convergence_run,
     exact_recovery_sweep,
     noise_sweep,
     recovery_trial,
-    resolve_threads,
 )
-
-
-def test_resolve_threads_argument_wins(monkeypatch):
-    monkeypatch.setenv("SUBREC_THREADS", "7")
-    assert resolve_threads(3) == 3
-    assert resolve_threads(0) == 1
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv("SUBREC_THREADS", "5")
-    assert resolve_threads() == 5
-    monkeypatch.setenv("SUBREC_THREADS", "0")
-    assert resolve_threads() == 1
-
-
-def test_resolve_threads_env_must_be_integer(monkeypatch):
-    monkeypatch.setenv("SUBREC_THREADS", "many")
-    with pytest.raises(ValueError, match="integer"):
-        resolve_threads()
-
-
-def test_resolve_threads_default(monkeypatch):
-    monkeypatch.delenv("SUBREC_THREADS", raising=False)
-    assert resolve_threads() == (os.cpu_count() or 1)
 
 
 def test_recovery_trial_in_the_recovery_regime():

@@ -204,8 +204,10 @@ def test_distance_shape_errors():
 
 def test_subspace_members_mask():
     points = np.array([[1.0, 0.0], [2.0, 1e-12], [0.0, 1.0], [1.0, 1.0]])
-    mask = subspace_members(points, E1_R2)
-    assert mask.tolist() == [True, True, False, False]
+    # the squared norms would underflow or overflow at the extreme scales
+    for scale in (1.0, 1e-170, 1e160):
+        mask = subspace_members(points * scale, E1_R2)
+        assert mask.tolist() == [True, True, False, False]
 
 
 def test_span_of_points_ranks():

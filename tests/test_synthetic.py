@@ -140,17 +140,20 @@ def test_model_validation(kwargs):
 
 
 def test_spherical_projection_examples():
-    out = spherical_projection(np.array([[3.0, 4.0]]))
-    np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
     units = np.array([[1.0, 0.0], [0.0, -1.0]])
-    np.testing.assert_allclose(spherical_projection(units), units, atol=1e-15)
+    # the norms would underflow or overflow at the extreme scales
+    for scale in (1.0, 1e-170, 1e160):
+        out = spherical_projection(np.array([[3.0, 4.0]]) * scale)
+        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
+        np.testing.assert_allclose(spherical_projection(units * scale), units, atol=1e-15)
 
 
 def test_spherical_projection_normalizes():
     rng = np.random.default_rng(60)
     points = rng.standard_normal((30, 4)) * np.exp(rng.uniform(-3, 3, size=(30, 1)))
-    out = spherical_projection(points)
-    np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(30), atol=1e-12)
+    for scale in (1.0, 1e-170, 1e160):
+        out = spherical_projection(points * scale)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(30), atol=1e-12)
 
 
 def test_spherical_projection_rejects_zero():
