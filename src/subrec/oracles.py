@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import scipy.linalg
 
-from .estimator import check_points, objective, quadratic_forms
-from .geometry import ensure_symmetric
-from .subspace import Subspace, span_of_points, subspace_members
+from .estimator import _factor, _log_det, _rescaled, _singular, check_points
+from .geometry import NotSPDError
+from .subspace import MEMBERSHIP_RTOL, RANK_RTOL, Subspace, subspace_members
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -40,6 +40,9 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 100_000
 # Sample count for the randomized fallback on larger instances.
 RANDOM_SUBSETS = 10_000
+# Candidate subsets are tested this many at a time; the residual
+# temporaries of one chunk hold _CHUNK * N * D floats.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,19 @@ def iter_subsets(n, sizes, rng=None):
     return "randomized", sampled()
 
 
+def _subset_chunks(subsets):
+    """Draw ``subsets`` lazily, ``_CHUNK`` at a time; per chunk yield an
+    ``(order, idx)`` pair per subset size, ``idx`` that size's ``(S, k)``
+    index array and ``order`` its positions in the chunk."""
+    while chunk := list(islice(subsets, _CHUNK)):
+        sizes = np.array([len(idx) for idx in chunk])
+        groups = []
+        for k in np.unique(sizes):
+            order = np.flatnonzero(sizes == k)
+            groups.append((order, np.array([chunk[i] for i in order])))
+        yield groups
+
+
 def uniqueness_condition(data, seed=0):
     """Check that every proper subspace holds strictly fewer points than dim/D allows.
 
@@ -101,28 +117,41 @@ def uniqueness_condition(data, seed=0):
 
     Exhaustive up to ``EXHAUSTIVE_LIMIT`` candidate subsets (intended
     for small N); beyond that a randomized sample of candidates is
-    checked and the report says so.
+    checked and the report says so.  Candidates are tested in stacked
+    chunks; the report names the first violator in enumeration order.
     """
     points = check_points(data)
     n, dim = points.shape
+    scaled, _ = _rescaled(points)
+    bound = MEMBERSHIP_RTOL * np.linalg.norm(scaled, axis=1)
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
     )
-    for idx in subsets:
-        rank, basis = span_of_points(points[list(idx)])
-        if rank == 0 or rank >= dim:
-            continue
-        candidate = Subspace(basis)
-        count = int(np.count_nonzero(subspace_members(points, candidate)))
-        # violation when count/n >= rank/dim
-        if count * dim >= rank * n:
+    for chunk in _subset_chunks(subsets):
+        found = []
+        for order, idx in chunk:
+            u, s, _ = np.linalg.svd(points[idx].transpose(0, 2, 1), full_matrices=False)
+            ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+            # sizes stop at D-1, so every rank is below D
+            for rank in np.unique(ranks[ranks > 0]):
+                hit = np.flatnonzero(ranks == rank)
+                basis = u[hit, :, :rank]
+                residual = scaled - (scaled @ basis) @ basis.transpose(0, 2, 1)
+                counts = np.count_nonzero(np.linalg.norm(residual, axis=2) <= bound, axis=1)
+                # violation when count/n >= rank/dim
+                bad = np.flatnonzero(counts * dim >= rank * n)
+                if bad.size:
+                    j = bad[0]
+                    found.append((order[hit[j]], int(rank), int(counts[j]), basis[j]))
+        if found:
+            _, rank, count, basis = min(found, key=lambda hit: hit[0])
             return ConditionReport(
                 holds=False,
                 method=method,
                 fraction=count / n,
                 threshold=rank / dim,
                 member_count=count,
-                witness=candidate,
+                witness=Subspace(basis),
             )
     return ConditionReport(holds=True, method=method)
 
@@ -153,21 +182,24 @@ def majorization_gap(sigma, anchor, data):
     log(det(sigma))/D + c`` with the constant ``c`` fixed so that the
     gap vanishes when ``sigma == anchor``.  It is nonnegative
     everywhere, which is the certificate that one fixed-point update
-    never increases the cost.
+    never increases the cost.  It is invariant to the data's scale.
     """
-    points = check_points(data)
+    points, _ = _rescaled(check_points(data))
     n, dim = points.shape
-    q_anchor = quadratic_forms(anchor, points)
-    if not np.all(np.isfinite(q_anchor)) or np.any(q_anchor <= 0.0):
+    work = np.empty_like(points)
+    _, q_anchor = _factor(anchor, points, "majorization_gap", work)
+    if _singular(q_anchor):
         raise ValueError("majorization_gap: anchor is numerically singular on this data")
     moment = (points / q_anchor[:, None]).T @ points / n
     moment = (moment + moment.T) / 2.0
 
-    cost = objective(sigma, points)
-    # objective() has fully validated sigma, so this factorization succeeds
-    lower = np.linalg.cholesky(ensure_symmetric(sigma))
+    lower, q = _factor(sigma, points, "majorization_gap", work)
+    if _singular(q):
+        raise NotSPDError("majorization_gap: sigma is numerically singular on this data")
+    log_det = _log_det(lower)
+    # objective()'s cost, on the same factor of sigma as the surrogate
+    cost = float(math.fsum(np.log(q)) / n + log_det / dim)
     inner = float(np.trace(scipy.linalg.cho_solve((lower, True), moment)))
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     constant = float(np.mean(np.log(q_anchor))) - 1.0
     surrogate = inner + log_det / dim + constant
     return float(surrogate - cost)

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .estimator import _rescaled, check_points
-from .oracles import iter_subsets
+from .oracles import _subset_chunks, iter_subsets
 from .subspace import RANK_RTOL, Subspace, subspace_members
 
 __all__ = [
@@ -174,13 +174,11 @@ def _complement_basis(subspace):
 
 def _all_subsets_full_rank(coords, rng):
     n, dim = coords.shape
-    if n == 0 or dim == 0:
-        return True
     for k in range(1, min(n, dim) + 1):
         _, subsets = iter_subsets(n, [k], rng=rng)
-        for idx in subsets:
-            block = coords[list(idx)]
-            s = np.linalg.svd(block, compute_uv=False)
-            if s[0] == 0.0 or np.sum(s > RANK_RTOL * s[0]) < k:
-                return False
+        for chunk in _subset_chunks(subsets):
+            for _, idx in chunk:
+                s = np.linalg.svd(coords[idx], compute_uv=False)
+                if np.any(np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1) < k):
+                    return False
     return True

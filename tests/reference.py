@@ -1,16 +1,20 @@
 """Independent reference routes the tests cross-check the library against.
 
 Everything here takes the textbook path on purpose: explicit matrix
-inverses, scipy's general-purpose matrix functions, per-point Python
-loops.  The library itself never forms an inverse and never calls
-``sqrtm``/``logm``, so agreement between the two routes is evidence,
-not a tautology.
+inverses, scipy's general-purpose matrix functions, per-point and
+per-subset Python loops.  The library itself never forms an inverse,
+never calls ``sqrtm``/``logm`` and tests candidate subsets in stacked
+chunks, so agreement between the two routes is evidence, not a
+tautology.
 """
 
 import warnings
 
 import numpy as np
 import scipy.linalg
+
+from subrec.oracles import ConditionReport, iter_subsets
+from subrec.subspace import Subspace, span_of_points, subspace_members
 
 
 def random_spd(rng, dim, log_spread=2.0):
@@ -86,3 +90,38 @@ def pointwise_gap(sigma, anchor, points):
     """
     u = inv_quadratic_forms(sigma, points) / inv_quadratic_forms(anchor, points)
     return float(np.mean(u - np.log(u) - 1.0))
+
+
+def subset_loop_violations(points, seed=0):
+    """The uniqueness check one candidate subset at a time.
+
+    Returns ``(method, violations)``.  ``violations`` lazily yields
+    ``(position, report)`` for every enumerated subset whose span holds
+    at least its dim/D share of the points, in enumeration order; each
+    span goes through the public ``span_of_points`` and each count
+    through the public ``subspace_members``.
+    """
+    points = np.asarray(points, dtype=float)
+    n, dim = points.shape
+    method, subsets = iter_subsets(n, range(1, dim), rng=np.random.default_rng(seed))
+
+    def violations():
+        for position, idx in enumerate(subsets):
+            rank, basis = span_of_points(points[list(idx)])
+            if rank == 0 or rank >= dim:
+                continue
+            candidate = Subspace(basis)
+            count = int(np.count_nonzero(subspace_members(points, candidate)))
+            if count * dim >= rank * n:
+                yield position, ConditionReport(
+                    False, method, count / n, rank / dim, count, candidate
+                )
+
+    return method, violations()
+
+
+def subset_loop_uniqueness(points, seed=0):
+    """Uniqueness report of the first violating subset, or a pass."""
+    method, violations = subset_loop_violations(points, seed)
+    first = next(violations, None)
+    return ConditionReport(holds=True, method=method) if first is None else first[1]

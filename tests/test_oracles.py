@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
-from reference import pointwise_gap, random_points, random_spd
+from reference import (
+    pointwise_gap,
+    random_points,
+    random_spd,
+    subset_loop_uniqueness,
+    subset_loop_violations,
+)
 
 from subrec.estimator import fixed_point_step, objective, quadratic_forms
 from subrec.geometry import NotSPDError
 from subrec.oracles import (
+    _CHUNK,
     EXHAUSTIVE_LIMIT,
     RANDOM_SUBSETS,
     iter_subsets,
@@ -21,6 +28,22 @@ COLLINEAR = np.array(
     [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [-0.2, 1.0]]
 )
 E1 = Subspace([[1.0], [0.0]])
+EXTREME_SCALES = (1e160, 1e-170)
+
+
+def assert_same_report(report, expected):
+    """Equal verdicts and counts, and a witness basis equal bit for bit."""
+    assert (report.holds, report.method, report.fraction) == (
+        expected.holds, expected.method, expected.fraction
+    )
+    assert (report.threshold, report.member_count) == (
+        expected.threshold, expected.member_count
+    )
+    if expected.witness is None:
+        assert report.witness is None
+    else:
+        assert report.witness.basis.shape == expected.witness.basis.shape
+        assert report.witness.basis.tobytes() == expected.witness.basis.tobytes()
 
 
 # ------------------------------------------------------------ subset iterator
@@ -91,15 +114,17 @@ def test_uniqueness_holds_with_a_third_direction():
 
 
 def test_uniqueness_witnesses_a_heavy_line():
-    report = uniqueness_condition(COLLINEAR)
-    assert not report.holds
-    assert report.fraction == 0.6
-    assert report.threshold == 0.5
-    assert report.member_count == 3
-    basis = report.witness.basis
-    assert basis.shape == (2, 1)
-    assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
-    assert abs(basis[1, 0]) < 1e-12
+    # the verdict does not depend on the data's scale
+    for scale in (1.0,) + EXTREME_SCALES:
+        report = uniqueness_condition(COLLINEAR * scale)
+        assert not report.holds
+        assert report.fraction == 0.6
+        assert report.threshold == 0.5
+        assert report.member_count == 3
+        basis = report.witness.basis
+        assert basis.shape == (2, 1)
+        assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
+        assert abs(basis[1, 0]) < 1e-12
 
 
 def test_uniqueness_randomized_on_larger_set():
@@ -109,6 +134,77 @@ def test_uniqueness_randomized_on_larger_set():
     report = uniqueness_condition(points, seed=1)
     assert report.method == "randomized"
     assert report.holds
+
+
+def test_uniqueness_matches_subset_loop_on_seeded_sets():
+    # (D, N) gaussian sets: exhaustive ones whose chunks cross from one
+    # subset size to the next, and one randomized set, whose chunks mix
+    # sizes throughout; then recovery sets, which violate the condition
+    for i, (dim, n) in enumerate([(2, 8), (3, 11), (4, 14), (5, 12), (4, 90)]):
+        points = np.random.default_rng(400 + i).standard_normal((n, dim))
+        expected = subset_loop_uniqueness(points, seed=i)
+        assert expected.holds
+        assert_same_report(uniqueness_condition(points, seed=i), expected)
+    for seed in range(6):
+        points, _ = generate(SyntheticModel(4, 2, 6, 4, seed=seed, rotate=True))
+        expected = subset_loop_uniqueness(points, seed=seed)
+        assert not expected.holds
+        assert_same_report(uniqueness_condition(points, seed=seed), expected)
+
+
+def test_uniqueness_matches_subset_loop_on_rank_deficient_subsets():
+    # duplicated and collinear points give subsets whose rank is below
+    # their size.  In the first set no line holds more than 2 of the 12
+    # points, no plane 4, no hyperplane 6, so it holds; in the second
+    # the plane of a and b holds 6 points, its 2/4 share, and the first
+    # violator is the pair (6, 8), right after the rank-1 duplicate pair
+    rng = np.random.default_rng(410)
+    base = rng.standard_normal((8, 4))
+    holding = np.vstack([base, base[:2], 2.0 * base[2:4]])
+    a, b = base[:2]
+    plane = np.vstack([base[2:], a, a, b, 2.0 * b, a + b, a - b])
+    for points, holds in ((holding, True), (plane, False)):
+        expected = subset_loop_uniqueness(points)
+        assert expected.holds is holds
+        assert_same_report(uniqueness_condition(points), expected)
+    assert expected.member_count == 6 and expected.witness.dim == 2
+
+
+def test_uniqueness_finds_a_violator_past_the_first_chunk():
+    # 18 of 24 points on a hyperplane of R^4 reach its 3/4 share; no line
+    # or plane holds its share, so the first violator is the first
+    # 3-subset, after all 24 + 276 smaller subsets
+    rng = np.random.default_rng(420)
+    points = rng.standard_normal((24, 4))
+    points[:18, 3] = 0.0
+    position, expected = next(subset_loop_violations(points)[1])
+    assert position == 300 > _CHUNK
+    assert expected.member_count == 18
+    assert_same_report(uniqueness_condition(points), expected)
+
+
+def test_uniqueness_picks_the_earliest_of_two_rank_groups():
+    # a line holding 23 of 90 points inside a hyperplane holding 68:
+    # spans of rank 1 and of rank 3 both violate, and the sampled order
+    # puts one or the other first within the first chunk.  With seed 3
+    # the first violator is three points of the line, a 3-subset of rank 1
+    rng = np.random.default_rng(0)
+    points = np.vstack([
+        np.outer(rng.uniform(0.5, 2.0, 23), [1.0, 0.0, 0.0, 0.0]),
+        np.hstack([rng.standard_normal((45, 3)), np.zeros((45, 1))]),
+        rng.standard_normal((22, 4)),
+    ])
+    for seed, first_dim in ((0, 3), (1, 1), (3, 1)):
+        method, violations = subset_loop_violations(points, seed)
+        assert method == "randomized"
+        in_chunk = []
+        for position, report in violations:
+            if position >= _CHUNK:
+                break
+            in_chunk.append(report)
+        assert in_chunk[0].witness.dim == first_dim
+        assert {report.witness.dim for report in in_chunk} == {1, 3}
+        assert_same_report(uniqueness_condition(points, seed=seed), in_chunk[0])
 
 
 # --------------------------------------------------------- recovery condition
@@ -168,7 +264,8 @@ def test_gap_vanishes_at_the_anchor():
     for _ in range(10):
         sigma = random_spd(rng, 3)
         data = random_points(rng, 12, 3)
-        assert abs(majorization_gap(sigma, sigma, data)) < 1e-10
+        for scale in (1.0,) + EXTREME_SCALES:
+            assert abs(majorization_gap(sigma, sigma, data * scale)) < 1e-10
 
 
 def test_gap_is_nonnegative():
@@ -188,9 +285,11 @@ def test_gap_matches_pointwise_route():
         sigma = random_spd(rng, dim)
         anchor = random_spd(rng, dim)
         data = random_points(rng, 4 * dim, dim)
-        via_surrogate = majorization_gap(sigma, anchor, data)
         via_points = pointwise_gap(sigma, anchor, data)
-        assert abs(via_surrogate - via_points) < 1e-10 * max(1.0, abs(via_points))
+        # the gap does not depend on the data's scale
+        for scale in (1.0,) + EXTREME_SCALES:
+            via_surrogate = majorization_gap(sigma, anchor, data * scale)
+            assert abs(via_surrogate - via_points) < 1e-10 * max(1.0, abs(via_points))
 
 
 def test_gap_bounds_the_descent_of_one_update():
@@ -213,6 +312,15 @@ def test_gap_bounds_the_descent_of_one_update():
         gap = majorization_gap(minimizer, anchor, data)
         assert gap >= -1e-10
         assert drop >= gap - 1e-10
+    # the identity and its first update on a small recovery set, whose
+    # forms overflow or underflow at the extreme scales
+    points, _ = generate(SyntheticModel(4, 2, 6, 4, seed=0))
+    anchor = np.eye(4) / 4
+    new = fixed_point_step(anchor, points)
+    gap = majorization_gap(new, anchor, points)
+    assert gap > 0.0
+    for scale in EXTREME_SCALES:
+        assert abs(majorization_gap(new, anchor, points * scale) - gap) < 1e-14
 
 
 def test_gap_rejects_singular_anchor():
