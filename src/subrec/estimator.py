@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.linalg.blas import get_blas_funcs
 
 from .geometry import SPD_RTOL, NotSPDError, ensure_symmetric
@@ -51,7 +52,14 @@ DEFAULT_MAX_ITER = 1000
 # with the square of the data and would overflow or underflow at the extremes.
 _SAFE_EXPONENT = 256
 
-_TRSM = get_blas_funcs("trsm", dtype=np.float64)
+# Every dense BLAS/LAPACK call of the solver goes to SciPy's library.  The
+# numpy and scipy wheels each bundle their own OpenBLAS, each with its own
+# worker pool; after a call, a pool's workers spin for a while, so
+# alternating between the two libraries makes each call compete with the
+# other pool's idle workers (about a third of an iteration at D=200).
+_TRSM, _GEMM, _DOT = get_blas_funcs(("trsm", "gemm", "dot"), dtype=np.float64)
+_POTRF = lapack.dpotrf
+_SYEVD = lapack.dsyevd
 
 
 class Termination(str, Enum):
@@ -160,11 +168,17 @@ def _factor(sigma, points, who, work):
         raise ValueError(
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
-    try:
-        lower = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as err:
-        raise NotSPDError(f"{who}: sigma is not positive definite ({err})") from None
+    lower = _cholesky(sigma)
+    if lower is None:
+        raise NotSPDError(f"{who}: sigma is not positive definite")
     return lower, _quad_forms(lower, points, work)
+
+
+def _cholesky(sigma):
+    """Fortran-ordered lower Cholesky factor of ``sigma``, or None when the
+    factorization fails (sigma is not positive definite in floating point)."""
+    lower, info = _POTRF(sigma, lower=1, clean=1)
+    return lower if info == 0 else None
 
 
 def _quad_forms(lower, points, work):
@@ -174,13 +188,12 @@ def _quad_forms(lower, points, work):
     ``work`` is scratch shaped like ``points``; the solve overwrites it.
     """
     # BLAS trsm directly: LAPACK trtrs adds only a zero-diagonal check,
-    # which a factor from a successful Cholesky cannot fail.  L is passed
-    # as its Fortran-ordered transpose with trans_a, the call trtrs makes.
-    # The result is Fortran-ordered, so the column sums below add in the
-    # same order as on trtrs's result.
+    # which a factor from a successful Cholesky cannot fail.  The result
+    # is Fortran-ordered, so the column sums below add in the same order
+    # as on trtrs's result.
     y = work.T
     np.copyto(y, points.T)
-    y = _TRSM(1.0, lower.T, y, lower=0, trans_a=1, overwrite_b=1)
+    y = _TRSM(1.0, lower, y, lower=1, overwrite_b=1)
     # overflow to inf is a handled breakdown signal downstream, not
     # worth a warning here
     with np.errstate(over="ignore"):
@@ -202,7 +215,8 @@ def _moment(points, q, work):
 
     ``work`` is scratch shaped like ``points``.
     """
-    weighted = np.divide(points, q[:, None], out=work).T @ points
+    scaled = np.divide(points, q[:, None], out=work)
+    weighted = _GEMM(1.0, scaled.T, points.T, trans_b=1)
     weighted = weighted + weighted.T
     weighted /= 2.0
     total = float(weighted.trace())
@@ -301,7 +315,8 @@ def estimate(data, config=None, observer=None):
     carries the last finite usable iterate, whose top eigenspace is the
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
-    formed (no positive trace, failed factorization, singular forms).
+    formed (no positive trace, failed eigensolve or factorization,
+    singular forms).
 
     Data whose largest entry is beyond about 1e77 or below about 1e-77
     is first multiplied by the power of two that brings that entry into
@@ -327,16 +342,16 @@ def estimate(data, config=None, observer=None):
     # Small iterations are mostly call overhead, so each step is the
     # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
     # takes a Frobenius norm, add.reduce / n is np.mean without its wrapper.
+    # A failed eigensolve or factorization ends the run as a breakdown.
     for k in range(1, config.max_iter + 1):
         candidate = _moment(points, q, work)
         if candidate is not None:
             diff = (candidate - sigma).ravel()
             flat = candidate.ravel()
-            rel_step = math.sqrt(diff.dot(diff)) / math.sqrt(flat.dot(flat))
-            vals = np.linalg.eigvalsh(candidate)
-            try:
-                lower = np.linalg.cholesky(candidate)
-            except np.linalg.LinAlgError:
+            rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
+            vals, _, info = _SYEVD(candidate, compute_v=0, lower=1)
+            lower = None if info else _cholesky(candidate)
+            if lower is None:
                 candidate = None
             else:
                 q = _quad_forms(lower, points, work)

@@ -9,6 +9,8 @@ numerical drift and rejected otherwise.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -28,6 +30,7 @@ SYMMETRY_RTOL = 1e-12
 # A symmetric matrix counts as numerically positive definite when
 # eig_min > SPD_RTOL * eig_max.
 SPD_RTOL = 1e-14
+_TINY = np.finfo(float).tiny
 
 
 class NotSPDError(ValueError):
@@ -59,11 +62,15 @@ def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
-    scale = np.linalg.norm(mat)
-    drift = np.linalg.norm(mat - mat.T)
-    if drift > rtol * max(scale, np.finfo(float).tiny):
+    # Frobenius norms as ufunc reductions: np.linalg.norm's BLAS dot costs
+    # more on small matrices and runs on numpy's OpenBLAS, whose worker
+    # pool the solver's SciPy calls would then compete with
+    asym = mat - mat.T
+    scale = math.sqrt(np.add.reduce(np.square(mat), axis=None))
+    drift = math.sqrt(np.add.reduce(np.square(asym, out=asym), axis=None))
+    if drift > rtol * max(scale, _TINY):
         raise ValueError(
             f"matrix is not symmetric (relative asymmetry {drift / scale:.3e})"
         )

@@ -1,11 +1,16 @@
 """Estimator tests: hand examples, dual-route oracles, solver behavior."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subrec.estimator
 from reference import inv_estimate, inv_objective, inv_quadratic_forms, inv_step, random_points, random_spd
 from subrec.estimator import (
     BreakdownError,
@@ -18,6 +23,7 @@ from subrec.estimator import (
     quadratic_forms,
 )
 from subrec.geometry import NotSPDError, geometric_mean
+from subrec.oracles import majorization_gap
 from subrec.subspace import Subspace, recovery_error, top_d_subspace
 from subrec.synthetic import SyntheticModel, generate
 
@@ -341,6 +347,89 @@ def test_proactive_breakdown_stop():
     vals = np.linalg.eigvalsh(result.sigma)
     assert vals[-1] > 0.0
     assert recovery_error(top_d_subspace(result.sigma, 1), E1) < 1e-6
+
+
+def test_failed_eigensolve_is_a_breakdown(monkeypatch):
+    # a nonzero LAPACK info from the loop's eigensolve ends the run as a
+    # breakdown that keeps the last usable iterate
+    real = subrec.estimator._SYEVD
+    calls = []
+
+    def failing_third_call(*args, **kwargs):
+        calls.append(1)
+        vals, vecs, info = real(*args, **kwargs)
+        return vals, vecs, (1 if len(calls) == 3 else info)
+
+    monkeypatch.setattr(subrec.estimator, "_SYEVD", failing_third_call)
+    result = estimate(INTERIOR)
+    assert result.termination == Termination.BREAKDOWN
+    assert result.iterations == 2
+    monkeypatch.undo()
+    two_steps = estimate(INTERIOR, EstimatorConfig(max_iter=2))
+    assert np.array_equal(result.sigma, two_steps.sigma)
+    assert result.trace == two_steps.trace
+
+
+# --------------------------------------------------- one BLAS/LAPACK library
+
+
+# (data set, iterations, termination) of estimate; the same as when the
+# loop ran on numpy's LAPACK
+_KNOWN_RUNS = [
+    (COLLINEAR, 44, Termination.CONVERGED),
+    (INTERIOR, 48, Termination.CONVERGED),
+    (generate(SyntheticModel(10, 5, 80, 100, seed=1))[0], 80, Termination.CONVERGED),
+    (generate(SyntheticModel(20, 4, 60, 200, seed=2, rotate=True))[0], 98, Termination.CONVERGED),
+    (generate(SyntheticModel(60, 6, 300, 300, seed=4, rotate=True))[0], 14, Termination.BREAKDOWN),
+]
+
+
+def test_solver_does_not_call_numpy_linalg(monkeypatch):
+    # every factorization and eigensolve of the solver goes through
+    # SciPy's LAPACK; numpy's would wake a second OpenBLAS worker pool
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg called from the solver")
+
+    for name in ("cholesky", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for data, iterations, termination in _KNOWN_RUNS:
+        result = estimate(data)
+        assert (result.iterations, result.termination) == (iterations, termination)
+        dim = data.shape[1]
+        start = np.eye(dim) / dim
+        step = fixed_point_step(start, data)
+        assert np.isfinite(objective(step, data))
+        assert quadratic_forms(step, data).shape == (data.shape[0],)
+        assert majorization_gap(step, start, data) >= -1e-12
+
+
+# Solves one (3 000, 60) set and prints sigma's bytes, the iteration count
+# and the termination.
+_SOLVE = """
+from subrec.estimator import estimate
+from subrec.synthetic import SyntheticModel, generate
+
+points, _ = generate(SyntheticModel(60, 6, 1500, 1500, seed=4, rotate=True))
+result = estimate(points)
+print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_estimate_repeats_at_a_fixed_blas_thread_count(threads):
+    # the moment's product sums N terms in an order that depends on the
+    # BLAS thread count, but not from one run to the next at a fixed count
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    package_root = str(Path(subrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _SOLVE], capture_output=True, text=True, env=env, check=True
+        ).stdout.split()
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2] == "converged"
 
 
 # ------------------------------------------------- geodesic convexity of the cost
