@@ -57,8 +57,9 @@ _SAFE_EXPONENT = 256
 # worker pool; after a call, a pool's workers spin for a while, so
 # alternating between the two libraries makes each call compete with the
 # other pool's idle workers (about a third of an iteration at D=200).
-_TRSM, _GEMM, _DOT = get_blas_funcs(("trsm", "gemm", "dot"), dtype=np.float64)
+_TRMM, _SYRK, _DOT = get_blas_funcs(("trmm", "syrk", "dot"), dtype=np.float64)
 _POTRF = lapack.dpotrf
+_TRTRI = lapack.dtrtri
 _SYEVD = lapack.dsyevd
 
 
@@ -169,9 +170,10 @@ def _factor(sigma, points, who, work):
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
     lower = _cholesky(sigma)
-    if lower is None:
+    q = None if lower is None else _quad_forms(lower, points, work)
+    if q is None:
         raise NotSPDError(f"{who}: sigma is not positive definite")
-    return lower, _quad_forms(lower, points, work)
+    return lower, q
 
 
 def _cholesky(sigma):
@@ -182,18 +184,22 @@ def _cholesky(sigma):
 
 
 def _quad_forms(lower, points, work):
-    """``x' inv(sigma) x`` for every row, as ``|solve(L, x)|^2`` for the
-    Cholesky factor L of sigma; sigma is never inverted explicitly.
+    """``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2`` for the
+    Cholesky factor L of sigma, or None when L cannot be inverted.
 
-    ``work`` is scratch shaped like ``points``; the solve overwrites it.
+    ``work`` is scratch shaped like ``points``; the product overwrites it.
     """
-    # BLAS trsm directly: LAPACK trtrs adds only a zero-diagonal check,
-    # which a factor from a successful Cholesky cannot fail.  The result
-    # is Fortran-ordered, so the column sums below add in the same order
-    # as on trtrs's result.
+    # OpenBLAS multiplies by a triangular matrix about twice as fast as it
+    # solves with one on the same N right-hand sides (D = 200, N = 40 000),
+    # which pays for inverting the factor (D^3/3 flops).  The product is
+    # Fortran-ordered, so the column sums below add each point's squares
+    # in a fixed order.
+    inverse, info = _TRTRI(lower, lower=1)
+    if info:
+        return None
     y = work.T
     np.copyto(y, points.T)
-    y = _TRSM(1.0, lower, y, lower=1, overwrite_b=1)
+    y = _TRMM(1.0, inverse, y, lower=1, overwrite_b=1)
     # overflow to inf is a handled breakdown signal downstream, not
     # worth a warning here
     with np.errstate(over="ignore"):
@@ -215,10 +221,13 @@ def _moment(points, q, work):
 
     ``work`` is scratch shaped like ``points``.
     """
-    scaled = np.divide(points, q[:, None], out=work)
-    weighted = _GEMM(1.0, scaled.T, points.T, trans_b=1)
+    # syrk fills the lower triangle of S S' for S = points / sqrt(q), at
+    # half a general product's flops; its upper triangle is zero, so the
+    # mirror S S' + (S S')' with the diagonal halved is exact and symmetric
+    scaled = np.divide(points, np.sqrt(q)[:, None], out=work)
+    weighted = _SYRK(1.0, scaled.T, lower=1)
     weighted = weighted + weighted.T
-    weighted /= 2.0
+    weighted.flat[:: weighted.shape[0] + 1] *= 0.5
     total = float(weighted.trace())
     if not 0.0 < total < math.inf:
         return None
@@ -316,7 +325,10 @@ def estimate(data, config=None, observer=None):
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
     formed (no positive trace, failed eigensolve or factorization,
-    singular forms).
+    singular forms).  When the forms are singular already at
+    ``identity / D``, as when one row is more than about 1e160 times
+    smaller than the largest and its form underflows to 0, the run stops after 0 iterations
+    with ``identity / D``, whose eigenspace recovers nothing.
 
     Data whose largest entry is beyond about 1e77 or below about 1e-77
     is first multiplied by the power of two that brings that entry into
@@ -334,6 +346,10 @@ def estimate(data, config=None, observer=None):
     sigma = np.eye(dim) / dim
     _, q = _factor(sigma, points, "estimate", work)
     trace: list[IterationRecord] = []
+    if _singular(q):
+        # a row far smaller than the largest: its form at I/D underflows
+        # to 0, so not even the first update exists
+        return EstimateResult(sigma, Termination.BREAKDOWN, 0, trace)
     termination = Termination.MAX_ITERATIONS
     iterations = 0
 
@@ -351,11 +367,8 @@ def estimate(data, config=None, observer=None):
             rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
             vals, _, info = _SYEVD(candidate, compute_v=0, lower=1)
             lower = None if info else _cholesky(candidate)
-            if lower is None:
-                candidate = None
-            else:
-                q = _quad_forms(lower, points, work)
-        if candidate is None or _singular(q):
+            q = None if lower is None else _quad_forms(lower, points, work)
+        if candidate is None or q is None or _singular(q):
             # keep the previous iterate, the last one finite arithmetic could use
             termination = Termination.BREAKDOWN
             break

@@ -1,11 +1,12 @@
 """Independent reference routes the tests cross-check the library against.
 
-Everything here takes the textbook path on purpose: explicit matrix
-inverses, scipy's general-purpose matrix functions, per-point and
-per-subset Python loops.  The library itself never forms an inverse,
-never calls ``sqrtm``/``logm`` and tests candidate subsets in stacked
-chunks, so agreement between the two routes is evidence, not a
-tautology.
+Everything here takes the textbook path on purpose: explicit inverses
+of the full matrix, scipy's general-purpose matrix functions, per-point
+and per-subset Python loops, and forward substitution in extended
+precision.  The library inverts only the triangular Cholesky factor,
+never the full matrix, never calls ``sqrtm``/``logm`` and tests
+candidate subsets in stacked chunks, so agreement between the two routes
+is evidence, not a tautology.
 """
 
 import warnings
@@ -33,6 +34,22 @@ def inv_quadratic_forms(sigma, points):
     """Quadratic forms through an explicit inverse."""
     inv = np.linalg.inv(sigma)
     return np.einsum("ni,ij,nj->n", points, inv, points)
+
+
+def longdouble_quadratic_forms(lower, points):
+    """Quadratic forms ``|solve(L, x)|^2`` on a given lower Cholesky
+    factor, by row-by-row forward substitution in ``np.longdouble``.
+
+    Where ``longdouble`` is wider than ``float`` (80-bit extended on x86
+    Linux), this is a more accurate route to the forms of that very
+    factor, so it measures the library's own rounding and not the
+    factorization's.
+    """
+    lower = np.asarray(lower, dtype=np.longdouble)
+    y = np.array(points, dtype=np.longdouble).T
+    for i in range(lower.shape[0]):
+        y[i] = (y[i] - lower[i, :i] @ y[:i]) / lower[i, i]
+    return np.einsum("in,in->n", y, y)
 
 
 def inv_objective(sigma, points):

@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import subrec.estimator
-from reference import inv_estimate, inv_objective, inv_quadratic_forms, inv_step, random_points, random_spd
+import scipy.linalg
+
+from reference import (
+    inv_estimate,
+    inv_objective,
+    inv_quadratic_forms,
+    inv_step,
+    longdouble_quadratic_forms,
+    random_points,
+    random_spd,
+)
 from subrec.estimator import (
     BreakdownError,
     EstimatorConfig,
@@ -124,6 +134,26 @@ def test_quadratic_forms_match_inverse_route():
     assert np.all(mine > 0.0)
 
 
+def test_quadratic_forms_accurate_at_ill_conditioned_sigma():
+    # the forms go through an explicit inverse of the Cholesky factor;
+    # near the singular limit of the iterates they must still match a
+    # wider-precision forward substitution on that same factor, for
+    # points inside the dominant eigenspace and for generic points
+    rng = np.random.default_rng(36)
+    dim = 10
+    for _ in range(60):
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        spread = 10.0 ** rng.uniform(4.0, 14.0)
+        sigma = (basis * np.geomspace(1.0 / spread, 1.0, dim)) @ basis.T
+        sigma = (sigma + sigma.T) / 2.0
+        top = int(rng.integers(1, dim))
+        inside = rng.standard_normal((10, top)) @ basis[:, dim - top:].T
+        data = np.vstack([inside, random_points(rng, 10, dim)])
+        ref = longdouble_quadratic_forms(scipy.linalg.cholesky(sigma, lower=True), data)
+        rel = np.abs(quadratic_forms(sigma, data) - ref) / ref
+        assert float(rel.max()) <= 1e-12
+
+
 # ------------------------------------------------------------ fixed_point_step
 
 
@@ -161,6 +191,19 @@ def test_step_output_contract():
         assert np.all(np.linalg.eigvalsh(out) > 0.0)
         # monotone descent, the core property of the update
         assert objective(out, data) <= objective(sigma, data) + 1e-12
+
+
+@pytest.mark.parametrize("n, dim", [(5, 1), (3, 2), (220, 10), (3000, 60), (4, 6)])
+def test_step_is_bit_symmetric_with_unit_trace(n, dim):
+    # the moment is built from one triangle and mirrored; with fewer
+    # points than dimensions the step is singular but still returned
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        sigma = random_spd(rng, dim)
+        out = fixed_point_step(sigma, random_points(rng, n, dim))
+        assert np.array_equal(out, out.T)
+        assert abs(np.trace(out) - 1.0) <= 1e-15
+        assert np.linalg.matrix_rank(out) == min(n, dim)
 
 
 def test_step_matches_inverse_route():
@@ -321,6 +364,19 @@ def test_estimate_degenerate_span_breaks_down():
     assert np.all(np.isfinite(result.sigma))
 
 
+def test_estimate_one_tiny_row_breaks_down_without_warning():
+    # row 0's form at I/D underflows to 0, so no first update exists;
+    # the run stops before dividing by it
+    points, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    points[0] *= 1e-200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate(points)
+    assert result.termination == Termination.BREAKDOWN
+    assert result.iterations == 0 and result.trace == []
+    assert np.array_equal(result.sigma, np.eye(10) / 10)
+
+
 def test_estimate_max_iterations():
     result = estimate(COLLINEAR, EstimatorConfig(tol=1e-15, max_iter=5))
     assert result.termination == Termination.MAX_ITERATIONS
@@ -370,6 +426,31 @@ def test_failed_eigensolve_is_a_breakdown(monkeypatch):
     assert result.trace == two_steps.trace
 
 
+def test_failed_triangular_inverse_is_typed(monkeypatch):
+    # a nonzero LAPACK info from inverting the factor is a NotSPDError
+    # for a given sigma and a breakdown inside the loop
+    real = subrec.estimator._TRTRI
+    calls = []
+
+    def failing_third_call(*args, **kwargs):
+        calls.append(1)
+        inverse, info = real(*args, **kwargs)
+        return inverse, (1 if len(calls) == 3 else info)
+
+    monkeypatch.setattr(subrec.estimator, "_TRTRI", failing_third_call)
+    # calls: I/D, then the first two iterates
+    result = estimate(INTERIOR)
+    assert result.termination == Termination.BREAKDOWN
+    assert result.iterations == 1
+    monkeypatch.setattr(subrec.estimator, "_TRTRI", lambda factor, **kwargs: (factor, 1))
+    with pytest.raises(NotSPDError, match="quadratic_forms"):
+        quadratic_forms(np.eye(2), INTERIOR)
+    monkeypatch.undo()
+    one_step = estimate(INTERIOR, EstimatorConfig(max_iter=1))
+    assert np.array_equal(result.sigma, one_step.sigma)
+    assert result.trace == one_step.trace
+
+
 # --------------------------------------------------- one BLAS/LAPACK library
 
 
@@ -417,8 +498,8 @@ print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_estimate_repeats_at_a_fixed_blas_thread_count(threads):
-    # the moment's product sums N terms in an order that depends on the
-    # BLAS thread count, but not from one run to the next at a fixed count
+    # the moment sums N terms in an order that can depend on the BLAS
+    # thread count, but not from one run to the next at a fixed count
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     package_root = str(Path(subrec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
