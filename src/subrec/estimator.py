@@ -227,7 +227,7 @@ def _moment(points, q, work):
     scaled = np.divide(points, np.sqrt(q)[:, None], out=work)
     weighted = _SYRK(1.0, scaled.T, lower=1)
     weighted = weighted + weighted.T
-    weighted.flat[:: weighted.shape[0] + 1] *= 0.5
+    weighted.ravel("K")[:: weighted.shape[0] + 1] *= 0.5
     total = float(weighted.trace())
     if not 0.0 < total < math.inf:
         return None
@@ -324,11 +324,12 @@ def estimate(data, config=None, observer=None):
     carries the last finite usable iterate, whose top eigenspace is the
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
-    formed (no positive trace, failed eigensolve or factorization,
-    singular forms).  When the forms are singular already at
-    ``identity / D``, as when one row is more than about 1e160 times
-    smaller than the largest and its form underflows to 0, the run stops after 0 iterations
-    with ``identity / D``, whose eigenspace recovers nothing.
+    formed (no positive trace, failed eigensolve, factorization or
+    inversion of the factor, singular forms).  When the forms are
+    singular already at ``identity / D``, as when one row is more than
+    about 1e160 times smaller than the largest and its form underflows
+    to 0, the run stops after 0 iterations with ``identity / D``, whose
+    eigenspace recovers nothing.
 
     Data whose largest entry is beyond about 1e77 or below about 1e-77
     is first multiplied by the power of two that brings that entry into
@@ -358,7 +359,8 @@ def estimate(data, config=None, observer=None):
     # Small iterations are mostly call overhead, so each step is the
     # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
     # takes a Frobenius norm, add.reduce / n is np.mean without its wrapper.
-    # A failed eigensolve or factorization ends the run as a breakdown.
+    # A failed eigensolve, factorization or inversion ends the run as a
+    # breakdown.
     for k in range(1, config.max_iter + 1):
         candidate = _moment(points, q, work)
         if candidate is not None:
