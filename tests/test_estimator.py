@@ -9,10 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-import subrec.estimator
 import scipy.linalg
 
+import subrec.estimator
 from reference import (
     inv_estimate,
     inv_objective,
