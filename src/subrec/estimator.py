@@ -60,7 +60,7 @@ _SAFE_EXPONENT = 256
 _TRMM, _SYRK, _DOT = get_blas_funcs(("trmm", "syrk", "dot"), dtype=np.float64)
 _POTRF = lapack.dpotrf
 _TRTRI = lapack.dtrtri
-_SYEVD = lapack.dsyevd
+_SYEV = lapack.dsyev
 
 
 class Termination(str, Enum):
@@ -170,7 +170,10 @@ def _factor(sigma, points, who, work):
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
     lower = _cholesky(sigma)
-    q = None if lower is None else _quad_forms(lower, points, work)
+    # overflow to inf is a handled breakdown signal downstream, not
+    # worth a warning here
+    with np.errstate(over="ignore"):
+        q = None if lower is None else _quad_forms(lower, points, work)
     if q is None:
         raise NotSPDError(f"{who}: sigma is not positive definite")
     return lower, q
@@ -188,6 +191,7 @@ def _quad_forms(lower, points, work):
     Cholesky factor L of sigma, or None when L cannot be inverted.
 
     ``work`` is scratch shaped like ``points``; the product overwrites it.
+    Squares that overflow warn unless the caller ignores numpy overflow.
     """
     # OpenBLAS multiplies by a triangular matrix about twice as fast as it
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
@@ -200,10 +204,7 @@ def _quad_forms(lower, points, work):
     y = work.T
     np.copyto(y, points.T)
     y = _TRMM(1.0, inverse, y, lower=1, overwrite_b=1)
-    # overflow to inf is a handled breakdown signal downstream, not
-    # worth a warning here
-    with np.errstate(over="ignore"):
-        np.multiply(y, y, out=y)
+    np.multiply(y, y, out=y)
     return np.add.reduce(y, axis=0)
 
 
@@ -222,16 +223,17 @@ def _moment(points, q, work):
     ``work`` is scratch shaped like ``points``.
     """
     # syrk fills the lower triangle of S S' for S = points / sqrt(q), at
-    # half a general product's flops; its upper triangle is zero, so the
-    # mirror S S' + (S S')' with the diagonal halved is exact and symmetric
+    # half a general product's flops, and its diagonal holds the trace;
+    # the upper triangle is zero, so the mirror S S' + (S S')' of the
+    # normalized triangle, with the diagonal halved, is exact and symmetric
     scaled = np.divide(points, np.sqrt(q)[:, None], out=work)
     weighted = _SYRK(1.0, scaled.T, lower=1)
-    weighted = weighted + weighted.T
-    weighted.ravel("K")[:: weighted.shape[0] + 1] *= 0.5
-    total = float(weighted.trace())
+    total = weighted.trace()
     if not 0.0 < total < math.inf:
         return None
     weighted /= total
+    weighted += weighted.T
+    weighted.ravel("K")[:: weighted.shape[0] + 1] *= 0.5
     return weighted
 
 
@@ -341,58 +343,69 @@ def estimate(data, config=None, observer=None):
         config = EstimatorConfig()
     n, dim = points.shape
 
-    # scratch for every solve and moment of this call; local, because
-    # sweeps may run estimates on several threads at once
-    work = np.empty_like(points)
-    sigma = np.eye(dim) / dim
-    _, q = _factor(sigma, points, "estimate", work)
-    trace: list[IterationRecord] = []
-    if _singular(q):
-        # a row far smaller than the largest: its form at I/D underflows
-        # to 0, so not even the first update exists
-        return EstimateResult(sigma, Termination.BREAKDOWN, 0, trace)
-    termination = Termination.MAX_ITERATIONS
-    iterations = 0
+    # the loop tests every result itself (LAPACK info, the trace, the
+    # log-sum of the forms), so it runs with numpy's warnings off, in one
+    # scope per call; the observer runs under the caller's error state
+    caller = np.geterr()
+    with np.errstate(all="ignore"):
+        # scratch for every solve and moment of this call; local, because
+        # sweeps may run estimates on several threads at once
+        work = np.empty_like(points)
+        sigma = np.eye(dim) / dim
+        _, q = _factor(sigma, points, "estimate", work)
+        trace: list[IterationRecord] = []
+        if _singular(q):
+            # a row far smaller than the largest: its form at I/D underflows
+            # to 0, so not even the first update exists
+            return EstimateResult(sigma, Termination.BREAKDOWN, 0, trace)
+        termination = Termination.MAX_ITERATIONS
+        iterations = 0
 
-    # the private kernel, not the public entry points, whose re-validation
-    # of data and sigma costs a third of an iteration on small problems.
-    # Small iterations are mostly call overhead, so each step is the
-    # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
-    # takes a Frobenius norm, add.reduce / n is np.mean without its wrapper.
-    # A failed eigensolve, factorization or inversion ends the run as a
-    # breakdown.
-    for k in range(1, config.max_iter + 1):
-        candidate = _moment(points, q, work)
-        if candidate is not None:
-            diff = (candidate - sigma).ravel()
-            flat = candidate.ravel()
-            rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
-            vals, _, info = _SYEVD(candidate, compute_v=0, lower=1)
-            lower = None if info else _cholesky(candidate)
-            q = None if lower is None else _quad_forms(lower, points, work)
-        if candidate is None or q is None or _singular(q):
-            # keep the previous iterate, the last one finite arithmetic could use
-            termination = Termination.BREAKDOWN
-            break
+        # the private kernel, not the public entry points, whose re-validation
+        # of data and sigma costs a third of an iteration on small problems.
+        # Small iterations are mostly call overhead, so each step is the
+        # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
+        # takes a Frobenius norm, add.reduce / n is np.mean without its
+        # wrapper.  A failed eigensolve, factorization or inversion ends the
+        # run as a breakdown.
+        for k in range(1, config.max_iter + 1):
+            candidate = _moment(points, q, work)
+            if candidate is not None:
+                # both matrices are symmetric, so their memory order does
+                # not change the raveled sequence
+                diff = (candidate - sigma).ravel("K")
+                flat = candidate.ravel("K")
+                rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
+                vals, _, info = _SYEV(candidate, compute_v=0, lower=1)
+                lower = None if info else _cholesky(candidate)
+                q = None if lower is None else _quad_forms(lower, points, work)
+            # the cost's log-sum is finite exactly when every form is in
+            # (0, inf), as the log of 0, of a negative, of inf or of nan is not
+            log_sum = math.nan if candidate is None or q is None else np.add.reduce(np.log(q))
+            if not math.isfinite(log_sum):
+                # keep the previous iterate, the last one finite arithmetic could use
+                termination = Termination.BREAKDOWN
+                break
 
-        # add.reduce, not objective()'s fsum, which is three times slower
-        cost = float(np.add.reduce(np.log(q)) / n + _log_det(lower) / dim)
-        if exponent:
-            # the cost of the given data, not of the rescaled one
-            cost += 2.0 * exponent * math.log(2.0)
-        sigma = candidate
-        iterations = k
-        record = IterationRecord(k, cost, rel_step, float(vals[0]))
-        trace.append(record)
-        if observer is not None:
-            observer(sigma, record)
+            # add.reduce, not objective()'s fsum, which is three times slower
+            cost = float(log_sum / n + _log_det(lower) / dim)
+            if exponent:
+                # the cost of the given data, not of the rescaled one
+                cost += 2.0 * exponent * math.log(2.0)
+            sigma = candidate
+            iterations = k
+            record = IterationRecord(k, cost, rel_step, float(vals[0]))
+            trace.append(record)
+            if observer is not None:
+                with np.errstate(**caller):
+                    observer(sigma, record)
 
-        if rel_step < config.tol:
-            termination = Termination.CONVERGED
-            break
-        if vals[0] <= SPD_RTOL * vals[-1]:
-            termination = Termination.BREAKDOWN
-            break
+            if rel_step < config.tol:
+                termination = Termination.CONVERGED
+                break
+            if vals[0] <= SPD_RTOL * vals[-1]:
+                termination = Termination.BREAKDOWN
+                break
 
     return EstimateResult(
         sigma=sigma, termination=termination, iterations=iterations, trace=trace

@@ -153,6 +153,26 @@ def test_quadratic_forms_accurate_at_ill_conditioned_sigma():
         assert float(rel.max()) <= 1e-12
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n, dim", [(1, 1), (1, 4), (5, 1), (7, 3), (3_000, 60)])
+def test_quadratic_forms_on_edge_shapes(n, dim, layout):
+    # the column sums are a BLAS matrix-vector product, whose wrapper
+    # reads shapes wrong most easily where an axis has length 1
+    rng = np.random.default_rng(40)
+    sigma = random_spd(rng, dim)
+    data = random_points(rng, n, dim)
+    if layout == "F":
+        data = np.asfortranarray(data)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 3 * dim))
+        wide[::2, ::3] = data
+        data = wide[::2, ::3]
+    ref = longdouble_quadratic_forms(scipy.linalg.cholesky(sigma, lower=True), data)
+    mine = quadratic_forms(sigma, data)
+    assert mine.shape == (n,)
+    assert float((np.abs(mine - ref) / ref).max()) <= 1e-12
+
+
 # ------------------------------------------------------------ fixed_point_step
 
 
@@ -407,7 +427,7 @@ def test_proactive_breakdown_stop():
 def test_failed_eigensolve_is_a_breakdown(monkeypatch):
     # a nonzero LAPACK info from the loop's eigensolve ends the run as a
     # breakdown that keeps the last usable iterate
-    real = subrec.estimator._SYEVD
+    real = subrec.estimator._SYEV
     calls = []
 
     def failing_third_call(*args, **kwargs):
@@ -415,7 +435,7 @@ def test_failed_eigensolve_is_a_breakdown(monkeypatch):
         vals, vecs, info = real(*args, **kwargs)
         return vals, vecs, (1 if len(calls) == 3 else info)
 
-    monkeypatch.setattr(subrec.estimator, "_SYEVD", failing_third_call)
+    monkeypatch.setattr(subrec.estimator, "_SYEV", failing_third_call)
     result = estimate(INTERIOR)
     assert result.termination == Termination.BREAKDOWN
     assert result.iterations == 2
@@ -448,6 +468,67 @@ def test_failed_triangular_inverse_is_typed(monkeypatch):
     one_step = estimate(INTERIOR, EstimatorConfig(max_iter=1))
     assert np.array_equal(result.sigma, one_step.sigma)
     assert result.trace == one_step.trace
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf, math.nan], ids=["zero", "inf", "nan"])
+def test_singular_forms_in_the_loop_are_a_breakdown(monkeypatch, bad):
+    # the loop reads singular forms off the cost's log-sum: one form of
+    # 0, inf or nan at the second iterate ends the run as a breakdown
+    # that keeps the first iterate, and numpy warns about none of them
+    real = subrec.estimator._quad_forms
+    calls = []
+
+    def singular_third_call(*args):
+        calls.append(1)
+        q = real(*args)
+        if len(calls) == 3:
+            q[len(q) // 2] = bad
+        return q
+
+    monkeypatch.setattr(subrec.estimator, "_quad_forms", singular_third_call)
+    # calls: I/D, then the first two iterates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate(INTERIOR)
+    assert result.termination == Termination.BREAKDOWN
+    assert result.iterations == 1
+    monkeypatch.undo()
+    one_step = estimate(INTERIOR, EstimatorConfig(max_iter=1))
+    assert np.array_equal(result.sigma, one_step.sigma)
+    assert result.trace == one_step.trace
+
+
+# ------------------------------------------------------ numpy's error state
+
+
+def test_estimate_restores_the_callers_error_state():
+    before = np.geterr()
+    estimate(INTERIOR)
+    assert np.geterr() == before
+
+    def failing_observer(sigma, record):
+        raise KeyError("observer")
+
+    with pytest.raises(KeyError, match="observer"):
+        estimate(INTERIOR, observer=failing_observer)
+    assert np.geterr() == before
+
+
+def test_observer_runs_under_the_callers_error_state():
+    # the loop ignores numpy's floating-point errors, which it checks
+    # itself; code in the observer must not
+    seen = []
+    with np.errstate(over="raise", divide="warn"):
+        caller = np.geterr()
+        estimate(INTERIOR, observer=lambda sigma, record: seen.append(np.geterr()))
+    assert caller["over"] == "raise"
+    assert len(seen) == 48 and all(state == caller for state in seen)
+
+    def overflowing_observer(sigma, record):
+        return np.array([1e308]) * 10.0
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        estimate(INTERIOR, observer=overflowing_observer)
 
 
 # --------------------------------------------------- one BLAS/LAPACK library
