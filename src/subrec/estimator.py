@@ -19,6 +19,7 @@ through its breakdown handling instead of failing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,9 @@ _SAFE_EXPONENT = 256
 # numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 # worker pool; after a call, a pool's workers spin for a while, so
 # alternating between the two libraries makes each call compete with the
-# other pool's idle workers (about a third of an iteration at D=200).
-_TRMM, _SYRK, _DOT = get_blas_funcs(("trmm", "syrk", "dot"), dtype=np.float64)
+# other pool's idle workers (about a third of an iteration at D=200).  Per-step
+# calls pass arguments positionally: keywords cost the wrappers 0.3-1 us each.
+_TRMM, _SYRK, _GEMV, _DOT = get_blas_funcs(("trmm", "syrk", "gemv", "dot"), dtype=np.float64)
 _POTRF = lapack.dpotrf
 _TRTRI = lapack.dtrtri
 _SYEV = lapack.dsyev
@@ -170,9 +172,7 @@ def _factor(sigma, points, who, work):
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
     lower = _cholesky(sigma)
-    # overflow to inf is a handled breakdown signal downstream, not
-    # worth a warning here
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # forms that overflow are checked downstream
         q = None if lower is None else _quad_forms(lower, points, work)
     if q is None:
         raise NotSPDError(f"{who}: sigma is not positive definite")
@@ -182,7 +182,7 @@ def _factor(sigma, points, who, work):
 def _cholesky(sigma):
     """Fortran-ordered lower Cholesky factor of ``sigma``, or None when the
     factorization fails (sigma is not positive definite in floating point)."""
-    lower, info = _POTRF(sigma, lower=1, clean=1)
+    lower, info = _POTRF(sigma, 1, 1)  # lower=1, clean=1
     return lower if info == 0 else None
 
 
@@ -191,21 +191,26 @@ def _quad_forms(lower, points, work):
     Cholesky factor L of sigma, or None when L cannot be inverted.
 
     ``work`` is scratch shaped like ``points``; the product overwrites it.
-    Squares that overflow warn unless the caller ignores numpy overflow.
     """
     # OpenBLAS multiplies by a triangular matrix about twice as fast as it
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
-    # which pays for inverting the factor (D^3/3 flops).  The product is
-    # Fortran-ordered, so the column sums below add each point's squares
-    # in a fixed order.
+    # which pays for inverting the factor (D^3/3 flops).  The column sums
+    # of the squared product are a BLAS product with a vector of ones,
+    # summed in an order the library fixes at a fixed thread count.
     inverse, info = _TRTRI(lower, lower=1)
     if info:
         return None
     y = work.T
     np.copyto(y, points.T)
-    y = _TRMM(1.0, inverse, y, lower=1, overwrite_b=1)
-    np.multiply(y, y, out=y)
-    return np.add.reduce(y, axis=0)
+    y = _TRMM(1.0, inverse, y, 0, 1, 0, 0, 1)  # side, lower, trans_a, diag, overwrite_b
+    np.multiply(y, y, out=y)  # an overflow warns unless the caller ignores it
+    # beta, y, offx, incx, offy, incy, trans: the sums of y's columns
+    return _GEMV(1.0, y, _ones(y.shape[0]), 0.0, None, 0, 1, 0, 1, 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _ones(dim):
+    return np.ones(dim)  # shared by every call; gemv only reads it
 
 
 def _singular(q):
@@ -223,11 +228,10 @@ def _moment(points, q, work):
     ``work`` is scratch shaped like ``points``.
     """
     # syrk fills the lower triangle of S S' for S = points / sqrt(q), at
-    # half a general product's flops, and its diagonal holds the trace;
-    # the upper triangle is zero, so the mirror S S' + (S S')' of the
-    # normalized triangle, with the diagonal halved, is exact and symmetric
+    # half a general product's flops; its upper triangle is zero, so the
+    # mirror of the normalized triangle, with the diagonal halved, is exact
     scaled = np.divide(points, np.sqrt(q)[:, None], out=work)
-    weighted = _SYRK(1.0, scaled.T, lower=1)
+    weighted = _SYRK(1.0, scaled.T, 0.0, None, 0, 1)  # beta, c, trans, lower
     total = weighted.trace()
     if not 0.0 < total < math.inf:
         return None
@@ -343,9 +347,8 @@ def estimate(data, config=None, observer=None):
         config = EstimatorConfig()
     n, dim = points.shape
 
-    # the loop tests every result itself (LAPACK info, the trace, the
-    # log-sum of the forms), so it runs with numpy's warnings off, in one
-    # scope per call; the observer runs under the caller's error state
+    # the loop checks every result itself, so numpy's warnings are off in
+    # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
     with np.errstate(all="ignore"):
         # scratch for every solve and moment of this call; local, because
@@ -363,24 +366,22 @@ def estimate(data, config=None, observer=None):
 
         # the private kernel, not the public entry points, whose re-validation
         # of data and sigma costs a third of an iteration on small problems.
-        # Small iterations are mostly call overhead, so each step is the
-        # cheapest call with the same bits: sqrt(d.d) is how np.linalg.norm
-        # takes a Frobenius norm, add.reduce / n is np.mean without its
-        # wrapper.  A failed eigensolve, factorization or inversion ends the
-        # run as a breakdown.
+        # Small iterations are mostly call overhead, so each step is a cheap
+        # call: sqrt(d.d) is how np.linalg.norm takes a Frobenius norm,
+        # add.reduce / n is np.mean without its wrapper.  A failed eigensolve,
+        # factorization or inversion ends the run as a breakdown.
         for k in range(1, config.max_iter + 1):
             candidate = _moment(points, q, work)
             if candidate is not None:
-                # both matrices are symmetric, so their memory order does
-                # not change the raveled sequence
+                # symmetric, so the memory order does not change the sequence
                 diff = (candidate - sigma).ravel("K")
                 flat = candidate.ravel("K")
                 rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
-                vals, _, info = _SYEV(candidate, compute_v=0, lower=1)
+                vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
                 lower = None if info else _cholesky(candidate)
                 q = None if lower is None else _quad_forms(lower, points, work)
-            # the cost's log-sum is finite exactly when every form is in
-            # (0, inf), as the log of 0, of a negative, of inf or of nan is not
+            # finite exactly when every form is in (0, inf): the log of 0, of
+            # a negative number, of inf or of nan is not
             log_sum = math.nan if candidate is None or q is None else np.add.reduce(np.log(q))
             if not math.isfinite(log_sum):
                 # keep the previous iterate, the last one finite arithmetic could use
