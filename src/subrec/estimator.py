@@ -188,7 +188,8 @@ def _cholesky(sigma):
 
 def _quad_forms(lower, points, work):
     """``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2`` for the
-    Cholesky factor L of sigma, or None when L cannot be inverted.
+    Cholesky factor L of sigma with the squares summed by BLAS ``dgemv``,
+    or None when L cannot be inverted.
 
     ``work`` is scratch shaped like ``points``; the product overwrites it.
     """
@@ -380,8 +381,7 @@ def estimate(data, config=None, observer=None):
                 vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
                 lower = None if info else _cholesky(candidate)
                 q = None if lower is None else _quad_forms(lower, points, work)
-            # finite exactly when every form is in (0, inf): the log of 0, of
-            # a negative number, of inf or of nan is not
+            # finite exactly when every form is in (0, inf): log(0) = -inf, log(-1) = nan
             log_sum = math.nan if candidate is None or q is None else np.add.reduce(np.log(q))
             if not math.isfinite(log_sum):
                 # keep the previous iterate, the last one finite arithmetic could use
