@@ -520,9 +520,10 @@ def test_observer_runs_under_the_callers_error_state():
     seen = []
     with np.errstate(over="raise", divide="warn"):
         caller = np.geterr()
-        estimate(INTERIOR, observer=lambda sigma, record: seen.append(np.geterr()))
+        result = estimate(INTERIOR, observer=lambda sigma, record: seen.append(np.geterr()))
     assert caller["over"] == "raise"
-    assert len(seen) == 48 and all(state == caller for state in seen)
+    assert len(seen) == result.iterations > 0
+    assert all(state == caller for state in seen)
 
     def overflowing_observer(sigma, record):
         return np.array([1e308]) * 10.0
