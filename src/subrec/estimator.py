@@ -187,9 +187,8 @@ def _cholesky(sigma):
 
 
 def _quad_forms(lower, points, work):
-    """``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2`` for the
-    Cholesky factor L of sigma with the squares summed by BLAS ``dgemv``,
-    or None when L cannot be inverted.
+    """``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2`` for the Cholesky
+    factor L of sigma (squares summed by ``dgemv``), or None if L has no inverse.
 
     ``work`` is scratch shaped like ``points``; the product overwrites it.
     """
@@ -312,9 +311,10 @@ def estimate(data, config=None, observer=None):
         Stopping rule; defaults to ``tol=1e-8, max_iter=1000``.
     observer : callable, optional
         Called as ``observer(sigma, record)`` once per produced iterate,
-        with the iterate itself and its :class:`IterationRecord`.  Each
-        iterate is a fresh array that the solver never writes again, so
-        the observer may keep it without a copy; it must not modify it.
+        with the iterate itself and its :class:`IterationRecord`, under the
+        caller's numpy error state.  Each iterate is a fresh array that the
+        solver never writes again, so the observer may keep it without a
+        copy; it must not modify it.
 
     Returns
     -------
