@@ -53,6 +53,13 @@ DEFAULT_MAX_ITER = 1000
 # with the square of the data and would overflow or underflow at the extremes.
 _SAFE_EXPONENT = 256
 
+# Rows per block of the pass over the data (_pass), fixed so that the
+# moment's sum is split at the same rows on every call.  Picked from a
+# sweep of 1024 to 8192 rows at D = 20 to 200 (BENCH_blocked.json); a
+# multiple of 24, for which OpenBLAS's dtrmm on one thread rounds every
+# column of a block as it does in one call over all rows (4096 does not).
+_BLOCK = 1536
+
 # Every dense BLAS/LAPACK call of the solver goes to SciPy's library.  The
 # numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 # worker pool; after a call, a pool's workers spin for a while, so
@@ -163,8 +170,8 @@ def _rescaled(points):
     return np.ldexp(points, -exponent), exponent
 
 
-def _factor(sigma, points, who, work):
-    """Cholesky factor of ``sigma`` and the quadratic forms; errors name ``who``."""
+def _factor(sigma, points, who, moment=False):
+    """Cholesky factor of ``sigma`` and :func:`_pass` on it; errors name ``who``."""
     sigma = ensure_symmetric(sigma)
     dim = points.shape[1]
     if sigma.shape[0] != dim:
@@ -172,11 +179,11 @@ def _factor(sigma, points, who, work):
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
     lower = _cholesky(sigma)
-    with np.errstate(over="ignore"):  # forms that overflow are checked downstream
-        q = None if lower is None else _quad_forms(lower, points, work)
-    if q is None:
+    with np.errstate(all="ignore"):  # the callers check the forms and the moment
+        result = None if lower is None else _pass(lower, points, moment)
+    if result is None:
         raise NotSPDError(f"{who}: sigma is not positive definite")
-    return lower, q
+    return (lower, *result)
 
 
 def _cholesky(sigma):
@@ -186,26 +193,53 @@ def _cholesky(sigma):
     return lower if info == 0 else None
 
 
-def _quad_forms(lower, points, work):
-    """``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2`` for the Cholesky
-    factor L of sigma (squares summed by ``dgemv``), or None if L has no inverse.
+def _pass(lower, points, moment):
+    """One pass over the data for the Cholesky factor L of sigma: ``(q, step)``,
+    or None if L has no inverse.
 
-    ``work`` is scratch shaped like ``points``; the product overwrites it.
+    ``q`` holds ``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2``
+    (squares summed by ``dgemv``).  ``step`` is the trace-one
+    ``sum_x x x' / q_x``, None when its trace is not positive or when
+    ``moment`` is false.  Forms that are not in (0, inf) leave ``step``
+    meaningless: the caller checks ``q`` before it uses ``step``.
     """
     # OpenBLAS multiplies by a triangular matrix about twice as fast as it
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
     # which pays for inverting the factor (D^3/3 flops).  The column sums
     # of the squared product are a BLAS product with a vector of ones,
-    # summed in an order the library fixes at a fixed thread count.
+    # summed in an order the library fixes at a fixed thread count.  The
+    # rows go in blocks of _BLOCK, each one's forms and moment terms made
+    # while it is in cache.
     inverse, info = _TRTRI(lower, lower=1)
     if info:
         return None
-    y = work.T
-    np.copyto(y, points.T)
-    y = _TRMM(1.0, inverse, y, 0, 1, 0, 0, 1)  # side, lower, trans_a, diag, overwrite_b
-    np.multiply(y, y, out=y)  # an overflow warns unless the caller ignores it
-    # beta, y, offx, incx, offy, incy, trans: the sums of y's columns
-    return _GEMV(1.0, y, _ones(y.shape[0]), 0.0, None, 0, 1, 0, 1, 1)
+    n, dim = points.shape
+    columns = points.T
+    q = np.zeros(n)  # zeros, so a BLAS that scales y by beta = 0 reads no NaN
+    weighted = None
+    for start in range(0, n, _BLOCK):
+        rows = columns[:, start : start + _BLOCK]
+        # side, lower, trans_a, diag, overwrite_b: in place on a (D, B) copy
+        y = _TRMM(1.0, inverse, rows.copy("F"), 0, 1, 0, 0, 1)
+        np.multiply(y, y, out=y)  # an overflow warns unless the caller ignores it
+        # beta, y, offx, incx, offy, incy, trans, overwrite_y: the sums of
+        # y's columns, written into q from row start on
+        _GEMV(1.0, y, _ones(dim), 0.0, q, 0, 1, start, 1, 1, 1)
+        if moment:
+            # syrk adds the lower triangle of S S' for S = rows / sqrt(q) to
+            # its own, at half a general product's flops (beta, c, trans,
+            # lower, overwrite_c); the first block's product is a fresh array
+            scaled = np.divide(rows, np.sqrt(q[start : start + y.shape[1]]))
+            weighted = _SYRK(1.0, scaled, 0.0 if weighted is None else 1.0, weighted, 0, 1, 1)
+    # the upper triangle is zero, so the mirror of the normalized triangle,
+    # with the diagonal halved, is exact
+    total = weighted.trace() if moment else math.nan
+    if not 0.0 < total < math.inf:
+        return q, None
+    weighted /= total
+    weighted += weighted.T
+    weighted.ravel("K")[:: dim + 1] *= 0.5
+    return q, weighted
 
 
 @functools.lru_cache(maxsize=16)
@@ -222,29 +256,9 @@ def _log_det(lower):
     return 2.0 * np.add.reduce(np.log(lower.diagonal()))
 
 
-def _moment(points, q, work):
-    """Trace-one ``sum_x x x' / q_x``, or None when its trace is not positive.
-
-    ``work`` is scratch shaped like ``points``.
-    """
-    # syrk fills the lower triangle of S S' for S = points / sqrt(q), at
-    # half a general product's flops; its upper triangle is zero, so the
-    # mirror of the normalized triangle, with the diagonal halved, is exact
-    scaled = np.divide(points, np.sqrt(q)[:, None], out=work)
-    weighted = _SYRK(1.0, scaled.T, 0.0, None, 0, 1)  # beta, c, trans, lower
-    total = weighted.trace()
-    if not 0.0 < total < math.inf:
-        return None
-    weighted /= total
-    weighted += weighted.T
-    weighted.ravel("K")[:: weighted.shape[0] + 1] *= 0.5
-    return weighted
-
-
 def quadratic_forms(sigma, data):
     """Evaluate ``x' inv(sigma) x`` for every row ``x`` of ``data``."""
-    points = check_points(data)
-    return _factor(sigma, points, "quadratic_forms", np.empty_like(points))[1]
+    return _factor(sigma, check_points(data), "quadratic_forms")[1]
 
 
 def objective(sigma, data):
@@ -264,7 +278,7 @@ def objective(sigma, data):
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
     points, exponent = _rescaled(check_points(data))
-    lower, q = _factor(sigma, points, "objective", np.empty_like(points))
+    lower, q, _ = _factor(sigma, points, "objective")
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
     # fsum's correctly rounded total keeps the value independent of the
@@ -290,11 +304,9 @@ def fixed_point_step(sigma, data):
         limit.
     """
     points, _ = _rescaled(check_points(data))
-    work = np.empty_like(points)
-    _, q = _factor(sigma, points, "fixed_point_step", work)
+    _, q, step = _factor(sigma, points, "fixed_point_step", moment=True)
     if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
-    step = _moment(points, q, work)
     if step is None:
         raise BreakdownError("fixed_point_step: update has no positive trace")
     return step
@@ -342,6 +354,11 @@ def estimate(data, config=None, observer=None):
     is first multiplied by the power of two that brings that entry into
     [1/2, 1); the iterates and objective values are those of the given
     data.
+
+    Each iteration reads the data once, in blocks of a fixed number of
+    rows B: one pass makes an iterate's quadratic forms and, unless the
+    run stops at that iterate, the next iterate.  The scratch of a pass is
+    two (D, B) arrays per block, not a copy of the data.
     """
     points, exponent = _rescaled(check_points(data))
     if config is None:
@@ -352,11 +369,8 @@ def estimate(data, config=None, observer=None):
     # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
     with np.errstate(all="ignore"):
-        # scratch for every solve and moment of this call; local, because
-        # sweeps may run estimates on several threads at once
-        work = np.empty_like(points)
         sigma = np.eye(dim) / dim
-        _, q = _factor(sigma, points, "estimate", work)
+        _, q, candidate = _factor(sigma, points, "estimate", moment=True)
         trace: list[IterationRecord] = []
         if _singular(q):
             # a row far smaller than the largest: its form at I/D underflows
@@ -369,20 +383,25 @@ def estimate(data, config=None, observer=None):
         # of data and sigma costs a third of an iteration on small problems.
         # Small iterations are mostly call overhead, so each step is a cheap
         # call: sqrt(d.d) is how np.linalg.norm takes a Frobenius norm,
-        # add.reduce / n is np.mean without its wrapper.  A failed eigensolve,
-        # factorization or inversion ends the run as a breakdown.
+        # add.reduce / n is np.mean without its wrapper.  The pass that makes
+        # an iterate's forms also makes the next iterate, unless the loop
+        # stops at this one.  A failed eigensolve, factorization or inversion
+        # ends the run as a breakdown.
         for k in range(1, config.max_iter + 1):
-            candidate = _moment(points, q, work)
+            forms = None
             if candidate is not None:
                 # symmetric, so the memory order does not change the sequence
                 diff = (candidate - sigma).ravel("K")
                 flat = candidate.ravel("K")
                 rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
                 vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
+                converged = rel_step < config.tol
+                collapsed = vals[0] <= SPD_RTOL * vals[-1]
+                last = converged or collapsed or k == config.max_iter
                 lower = None if info else _cholesky(candidate)
-                q = None if lower is None else _quad_forms(lower, points, work)
+                forms = None if lower is None else _pass(lower, points, not last)
             # finite exactly when every form is in (0, inf): log(0) = -inf, log(-1) = nan
-            log_sum = math.nan if candidate is None or q is None else np.add.reduce(np.log(q))
+            log_sum = math.nan if forms is None else np.add.reduce(np.log(forms[0]))
             if not math.isfinite(log_sum):
                 # keep the previous iterate, the last one finite arithmetic could use
                 termination = Termination.BREAKDOWN
@@ -393,7 +412,7 @@ def estimate(data, config=None, observer=None):
             if exponent:
                 # the cost of the given data, not of the rescaled one
                 cost += 2.0 * exponent * math.log(2.0)
-            sigma = candidate
+            sigma, candidate = candidate, forms[1]
             iterations = k
             record = IterationRecord(k, cost, rel_step, float(vals[0]))
             trace.append(record)
@@ -401,10 +420,10 @@ def estimate(data, config=None, observer=None):
                 with np.errstate(**caller):
                     observer(sigma, record)
 
-            if rel_step < config.tol:
+            if converged:
                 termination = Termination.CONVERGED
                 break
-            if vals[0] <= SPD_RTOL * vals[-1]:
+            if collapsed:
                 termination = Termination.BREAKDOWN
                 break
 

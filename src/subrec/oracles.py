@@ -186,14 +186,13 @@ def majorization_gap(sigma, anchor, data):
     """
     points, _ = _rescaled(check_points(data))
     n, dim = points.shape
-    work = np.empty_like(points)
-    _, q_anchor = _factor(anchor, points, "majorization_gap", work)
+    _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
     if _singular(q_anchor):
         raise ValueError("majorization_gap: anchor is numerically singular on this data")
     moment = (points / q_anchor[:, None]).T @ points / n
     moment = (moment + moment.T) / 2.0
 
-    lower, q = _factor(sigma, points, "majorization_gap", work)
+    lower, q, _ = _factor(sigma, points, "majorization_gap")
     if _singular(q):
         raise NotSPDError("majorization_gap: sigma is numerically singular on this data")
     log_det = _log_det(lower)

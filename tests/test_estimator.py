@@ -45,6 +45,9 @@ COLLINEAR = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [-0.2, 1.
 INTERIOR = np.array([[1.0, 0.0], [2.0, 0.0], [0.3, 1.0], [-0.2, 1.0], [0.7, -0.6]])
 THREE_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
+# rows per block of the solver's pass over the data
+_BLOCK = subrec.estimator._BLOCK
+
 E1 = Subspace([[1.0], [0.0]])
 
 
@@ -212,10 +215,14 @@ def test_step_output_contract():
         assert objective(out, data) <= objective(sigma, data) + 1e-12
 
 
-@pytest.mark.parametrize("n, dim", [(5, 1), (3, 2), (220, 10), (3000, 60), (4, 6)])
+@pytest.mark.parametrize(
+    "n, dim",
+    [(5, 1), (3, 2), (220, 10), (3000, 60), (4, 6), (_BLOCK + 1, 3), (2 * _BLOCK + 3, 20)],
+)
 def test_step_is_bit_symmetric_with_unit_trace(n, dim):
-    # the moment is built from one triangle and mirrored; with fewer
-    # points than dimensions the step is singular but still returned
+    # the moment is built from one triangle, summed over row blocks, and
+    # mirrored; with fewer points than dimensions the step is singular but
+    # still returned
     rng = np.random.default_rng(37)
     for _ in range(5):
         sigma = random_spd(rng, dim)
@@ -223,6 +230,32 @@ def test_step_is_bit_symmetric_with_unit_trace(n, dim):
         assert np.array_equal(out, out.T)
         assert abs(np.trace(out) - 1.0) <= 1e-15
         assert np.linalg.matrix_rank(out) == min(n, dim)
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("dim", [1, 3, 20])
+def test_blocked_pass_matches_one_block(monkeypatch, n, dim):
+    # the pass walks the rows in blocks of _BLOCK; each block's forms are
+    # those of a one-block pass over its rows alone, and the moment, summed
+    # block by block, is the one-block moment up to rounding
+    rng = np.random.default_rng(n + dim)
+    points = random_points(rng, n, dim)
+    lower = scipy.linalg.cholesky(random_spd(rng, dim), lower=True)
+    q, step = subrec.estimator._pass(lower, points, True)
+    assert np.array_equal(step, step.T)
+    assert abs(np.trace(step) - 1.0) <= 1e-15
+    parts = [
+        subrec.estimator._pass(lower, points[i : i + _BLOCK], False)[0]
+        for i in range(0, n, _BLOCK)
+    ]
+    assert np.array_equal(q, np.concatenate(parts))
+    monkeypatch.setattr(subrec.estimator, "_BLOCK", n)
+    q_one, step_one = subrec.estimator._pass(lower, points, True)
+    # OpenBLAS's dtrmm may round the last columns of a call, or of one
+    # thread's share of it, in another order, so a form can differ from
+    # the one-block form in its last bit
+    assert np.all(np.abs(q - q_one) <= 4 * np.finfo(float).eps * q_one)
+    assert np.abs(step - step_one).max() <= 1e-14 * np.abs(step_one).max()
 
 
 def test_step_matches_inverse_route():
@@ -292,6 +325,27 @@ def test_estimate_matches_reference_loop():
         mine = estimate(data).sigma
         ref = inv_estimate(data)
         assert np.linalg.norm(mine - ref) < 1e-7
+
+
+def test_estimate_is_the_public_step_over_several_blocks():
+    # with more rows than a block the loop and fixed_point_step run the
+    # same pass: the first iterate is the public step from I/D, and every
+    # iterate an observer keeps is its own array, never written again
+    dim = 20
+    data, _ = generate(SyntheticModel(dim, 4, _BLOCK, _BLOCK + 3, seed=5, rotate=True))
+    start = np.eye(dim) / dim
+    assert np.array_equal(
+        estimate(data, EstimatorConfig(max_iter=1)).sigma, fixed_point_step(start, data)
+    )
+    kept = []
+    result = estimate(data, observer=lambda sigma, record: kept.append((sigma, sigma.copy())))
+    assert len(kept) == result.iterations > 1
+    assert kept[-1][0] is result.sigma
+    for i, (sigma, snapshot) in enumerate(kept):
+        assert np.array_equal(sigma, snapshot)
+        assert not any(np.shares_memory(sigma, later) for later, _ in kept[i + 1 :])
+    for (before, _), (after, _) in zip(kept, kept[1:]):
+        assert np.array_equal(after, fixed_point_step(before, data))
 
 
 def test_estimate_trace_invariants():
@@ -475,17 +529,17 @@ def test_singular_forms_in_the_loop_are_a_breakdown(monkeypatch, bad):
     # the loop reads singular forms off the cost's log-sum: one form of
     # 0, inf or nan at the second iterate ends the run as a breakdown
     # that keeps the first iterate, and numpy warns about none of them
-    real = subrec.estimator._quad_forms
+    real = subrec.estimator._pass
     calls = []
 
     def singular_third_call(*args):
         calls.append(1)
-        q = real(*args)
+        q, step = real(*args)
         if len(calls) == 3:
             q[len(q) // 2] = bad
-        return q
+        return q, step
 
-    monkeypatch.setattr(subrec.estimator, "_quad_forms", singular_third_call)
+    monkeypatch.setattr(subrec.estimator, "_pass", singular_third_call)
     # calls: I/D, then the first two iterates
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -565,13 +619,14 @@ def test_solver_does_not_call_numpy_linalg(monkeypatch):
         assert majorization_gap(step, start, data) >= -1e-12
 
 
-# Solves one (3 000, 60) set and prints sigma's bytes, the iteration count
-# and the termination.
+# Solves one (6 000, 60) set, several blocks of rows, and prints sigma's
+# bytes, the iteration count and the termination.
 _SOLVE = """
-from subrec.estimator import estimate
+from subrec.estimator import _BLOCK, estimate
 from subrec.synthetic import SyntheticModel, generate
 
-points, _ = generate(SyntheticModel(60, 6, 1500, 1500, seed=4, rotate=True))
+points, _ = generate(SyntheticModel(60, 6, 3000, 3000, seed=4, rotate=True))
+assert points.shape[0] > 2 * _BLOCK
 result = estimate(points)
 print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
 """
@@ -579,8 +634,9 @@ print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_estimate_repeats_at_a_fixed_blas_thread_count(threads):
-    # the moment sums N terms in an order that can depend on the BLAS
-    # thread count, but not from one run to the next at a fixed count
+    # the moment sums N terms block by block, in an order that can depend
+    # on the BLAS thread count, but not from one run to the next at a fixed
+    # count
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     package_root = str(Path(subrec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
