@@ -2,11 +2,12 @@
 
 Everything here takes the textbook path on purpose: explicit inverses
 of the full matrix, scipy's general-purpose matrix functions, per-point
-and per-subset Python loops, and forward substitution in extended
-precision.  The library inverts only the triangular Cholesky factor,
-never the full matrix, never calls ``sqrtm``/``logm`` and tests
-candidate subsets in stacked chunks, so agreement between the two routes
-is evidence, not a tautology.
+and per-subset Python loops, forward substitution in extended precision
+and a line-by-line CSV parser.  The library inverts only the triangular
+Cholesky factor, never the full matrix, never calls ``sqrtm``/``logm``,
+tests candidate subsets in stacked chunks and parses well-formed CSV
+bodies with numpy, so agreement between the two routes is evidence, not
+a tautology.
 """
 
 import warnings
@@ -142,3 +143,29 @@ def subset_loop_uniqueness(points, seed=0):
     method, violations = subset_loop_violations(points, seed)
     first = next(violations, None)
     return ConditionReport(holds=True, method=method) if first is None else first[1]
+
+
+def line_parsed_points_csv(path):
+    """A points CSV parsed one line at a time with ``float``, and the
+    error messages ``read_points_csv`` must give for a malformed file."""
+    with open(path, "r", encoding="utf-8") as src:
+        lines = src.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header line")
+    width = len(lines[0].split(","))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)

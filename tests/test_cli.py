@@ -6,12 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import line_parsed_points_csv
 
 import subrec
+from subrec import fileio
 from subrec.cli import main
 from subrec.estimator import estimate
 from subrec.fileio import (
@@ -69,12 +72,76 @@ def test_points_csv_rejects_text_cell(tmp_path):
 
 def test_points_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty file"):
-        read_points_csv(path)
-    path.write_text("x0,x1\n")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_points_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_points_csv(path)
+        for body in ("", "\n", "\n \n\t\n"):
+            path.write_text("x0,x1\n" + body)
+            with pytest.raises(ValueError, match="no data rows"):
+                read_points_csv(path)
+
+
+# One file per way a points CSV can stray from what the writer makes.
+ODD_POINTS_CSV = {
+    "spaces": "x0,x1\n 1.5 , -2 \n\t3,4\t\n",
+    "blank-lines": "x0,x1\n\n1,2\n\n3,4\n\n",
+    "whitespace-lines": "x0,x1\n1,2\n   \n\t\n3,4\n",
+    "crlf": "x0,x1\r\n1,2\r\n3,4\r\n",
+    "nan-infinity": "x0,x1\nnan,Infinity\n-inf,NaN\n",
+    "underscore": "x0,x1\n1_0,2\n",
+    "signs-dots": "x0,x1\n+1,.5\n-.5,1.e3\n",
+    "no-final-newline": "x0,x1\n1,2\n3,4",
+    "one-column": "x0\n1\n-2\n3e-5\n",
+    "hash": "x0,x1\n# note\n1,2 # note\n",
+    "quotes": 'x0,x1\n"1",2\n',
+    "hex": "x0,x1\n0x10,2\n",
+    "overflow": "x0,x1\n1e400,-1e400\n",
+    "subnormal": "x0,x1\n5e-324,2.2250738585072009e-308\n4e-324,1e-310\n",
+    "ragged": "x0,x1\n1,2\n3\n",
+    "empty-cells": "x0,x1\n1,\n",
+    "header-only": "x0,x1\n",
+    "header-blank-lines": "x0,x1\n\n  \n",
+    "form-feed": "x0,x1\n1,2\x0c3,4\n",
+    "header-wider": "x0,x1,x2\n1,2\n3,4\n",
+    "arabic-digit": "x0,x1\n\u0661,2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODD_POINTS_CSV))
+def test_points_csv_reads_like_the_line_parser(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(ODD_POINTS_CSV[name].encode("utf-8"))
+    try:
+        expected = line_parsed_points_csv(path)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            read_points_csv(path)
+        assert str(raised.value) == str(err)
+        return
+    got = read_points_csv(path)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3, 20, 200])
+def test_points_csv_blocks_write_format_float_bytes(tmp_path, dim):
+    block = fileio._BLOCK_CELLS // dim
+    rng = np.random.default_rng(dim)
+    points = rng.standard_normal((2 * block + 3, dim)) * np.exp(
+        rng.uniform(-30, 30, (2 * block + 3, dim))
+    )
+    special = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300, -1e300, 0.0]
+    points.flat[::5] = np.resize(special, points.flat[::5].shape)
+    lines = [",".join(format_float(v) for v in row) + "\n" for row in points]
+    header = ",".join(f"x{i}" for i in range(dim)) + "\n"
+    path = tmp_path / "pts.csv"
+    for n in (1, block - 1, block, block + 1, 2 * block + 3):
+        write_points_csv(path, points[:n])
+        assert path.read_bytes() == (header + "".join(lines[:n])).encode()
+        back = read_points_csv(path)
+        assert back.tobytes() == points[:n].tobytes()
 
 
 def test_truth_json_round_trip(tmp_path):
