@@ -139,35 +139,33 @@ def check_points(data):
     (a zero point has an undefined direction and breaks every quadratic
     form the estimator relies on).
     """
+    return _prepare(data, rescale=False)[0]
+
+
+def _prepare(data, rescale=True):
+    """:func:`check_points` and the data's scale in one pass: ``(points, e)``,
+    ``e`` the exponent that brings the largest entry into [1/2, 1), or 0 in
+    the safe range, and the points times ``2**-e`` if ``rescale``.  A power of
+    two scales every form by its exact square, so the trace-one moment, and
+    every iterate, is unchanged; the cost drops by exactly ``2 e ln 2``."""
     points = np.asarray(data, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
     n, dim = points.shape
     if n < 1 or dim < 1:
         raise ValueError(f"data must contain at least one point, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("data has non-finite entries")
-    # exact, unlike a row norm, whose squares underflow for tiny points
-    zero_rows = ~points.any(axis=1)
-    if zero_rows.any():
-        bad = int(np.flatnonzero(zero_rows)[0])
-        raise ValueError(f"data contains the zero point at row {bad}")
-    return points
-
-
-def _rescaled(points):
-    """``(points * 2**-e, e)`` with ``e`` the exponent that brings the
-    largest entry into [1/2, 1), or ``(points, 0)`` when that entry is in
-    the safe range.
-
-    A power of two scales every quadratic form by its exact square, so
-    the trace-one moment, and with it every iterate, is unchanged; the
-    cost drops by exactly ``2 e ln 2``.
-    """
-    exponent = math.frexp(max(points.max(), -points.min()))[1]
+    # NaN and +-inf propagate into the largest magnitude; any() is exact,
+    # unlike a row norm, whose squares underflow for tiny points
+    top = max(points.max(), -points.min())
+    nonzero = points.any(axis=1)
+    if not (top < math.inf and nonzero.all()):
+        if not np.isfinite(points).all():
+            raise ValueError("data has non-finite entries")
+        raise ValueError(f"data contains the zero point at row {np.argmin(nonzero)}")
+    exponent = math.frexp(top)[1]
     if abs(exponent) <= _SAFE_EXPONENT:
         return points, 0
-    return np.ldexp(points, -exponent), exponent
+    return (np.ldexp(points, -exponent) if rescale else points), exponent
 
 
 def _factor(sigma, points, who, moment=False):
@@ -277,7 +275,7 @@ def objective(sigma, data):
     float
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
-    points, exponent = _rescaled(check_points(data))
+    points, exponent = _prepare(data)
     lower, q, _ = _factor(sigma, points, "objective")
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
@@ -303,7 +301,7 @@ def fixed_point_step(sigma, data):
         floating-point signal that the iteration has hit a singular
         limit.
     """
-    points, _ = _rescaled(check_points(data))
+    points, _ = _prepare(data)
     _, q, step = _factor(sigma, points, "fixed_point_step", moment=True)
     if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
@@ -360,7 +358,7 @@ def estimate(data, config=None, observer=None):
     run stops at that iterate, the next iterate.  The scratch of a pass is
     two (D, B) arrays per block, not a copy of the data.
     """
-    points, exponent = _rescaled(check_points(data))
+    points, exponent = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape

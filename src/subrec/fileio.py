@@ -1,9 +1,9 @@
 """Readers and writers for the harness's CSV and JSON files.
 
 All text files are UTF-8 with LF line endings.  Floats are written with
-17 significant digits, so reading them back round-trips bit-exactly,
-which is what makes rerunning a command byte-identical.  Points are
-written in row blocks with one format string and read by numpy's
+17 significant digits; every double but a signed or payload NaN (read as
+plain NaN) round-trips bit-exactly, so a rerun is byte-identical.  Points
+are written in row blocks with one format string and read by numpy's
 ``loadtxt``, with a line parser as the fallback that names a bad line.
 """
 
@@ -27,7 +27,7 @@ __all__ = [
 
 
 def format_float(value):
-    """Render a double with enough digits to round-trip exactly."""
+    """Render a double with enough digits to round-trip, bar signed or payload NaNs."""
     return f"{float(value):.17g}"
 
 

@@ -62,13 +62,13 @@ def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix has non-finite entries")
     # Frobenius norms as ufunc reductions: np.linalg.norm's BLAS dot costs
     # more on small matrices and runs on numpy's OpenBLAS, whose worker
     # pool the solver's SciPy calls would then compete with
-    asym = mat - mat.T
     scale = math.sqrt(np.add.reduce(np.square(mat), axis=None))
+    if not scale < math.inf and not np.isfinite(mat).all():  # inf or NaN, not an overflow
+        raise ValueError("matrix has non-finite entries")
+    asym = mat - mat.T
     drift = math.sqrt(np.add.reduce(np.square(asym, out=asym), axis=None))
     if drift > rtol * max(scale, _TINY):
         raise ValueError(

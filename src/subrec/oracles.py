@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
-from .estimator import _factor, _log_det, _rescaled, _singular, check_points
+from .estimator import _factor, _log_det, _prepare, _singular, check_points
 from .geometry import NotSPDError
 from .subspace import MEMBERSHIP_RTOL, RANK_RTOL, Subspace, subspace_members
 
@@ -40,7 +40,7 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 100_000
 # Sample count for the randomized fallback on larger instances.
 RANDOM_SUBSETS = 10_000
-# Candidate subsets are tested this many at a time; the residual
+# Candidate subsets are drawn and tested this many at a time; the residual
 # temporaries of one chunk hold _CHUNK * N * D floats.
 _CHUNK = 256
 
@@ -72,7 +72,9 @@ def iter_subsets(n, sizes, rng=None):
     Returns ``(method, iterator)``.  When the total number of subsets
     over all ``sizes`` is at most ``EXHAUSTIVE_LIMIT`` the iterator is
     exhaustive; otherwise it yields ``RANDOM_SUBSETS`` random subsets
-    with sizes drawn uniformly from ``sizes`` (requires ``rng``).
+    with sizes drawn uniformly from ``sizes`` (requires ``rng``), drawn
+    ``_CHUNK`` at a time: reproducible per seed, but not the sample that
+    versions drawing one subset per call took at the same seed.
     """
     sizes = [k for k in sizes if 1 <= k <= n]
     if not sizes:
@@ -87,9 +89,17 @@ def iter_subsets(n, sizes, rng=None):
         raise ValueError("randomized subset sampling needs an rng")
 
     def sampled():
-        for _ in range(RANDOM_SUBSETS):
-            k = sizes[rng.integers(len(sizes))]
-            yield tuple(rng.choice(n, size=k, replace=False))
+        for start in range(0, RANDOM_SUBSETS, _CHUNK):
+            m = min(_CHUNK, RANDOM_SUBSETS - start)
+            counts = np.array(sizes)[rng.integers(len(sizes), size=m)]
+            # Floyd's algorithm on all rows at once: step i of a size-k row draws
+            # t in 0..j, j = n-k+i, and takes j if t is taken; later columns go unread
+            picked = np.empty((m, max(sizes)), dtype=np.int64)
+            for i in range(picked.shape[1]):
+                top = n - counts + i
+                t = rng.integers(0, top + 1)
+                picked[:, i] = np.where((picked[:, :i] == t[:, None]).any(axis=1), top, t)
+            yield from (tuple(row[:k]) for k, row in zip(counts.tolist(), picked.tolist()))
     return "randomized", sampled()
 
 
@@ -120,9 +130,9 @@ def uniqueness_condition(data, seed=0):
     checked and the report says so.  Candidates are tested in stacked
     chunks; the report names the first violator in enumeration order.
     """
-    points = check_points(data)
+    points, exponent = _prepare(data, rescale=False)
     n, dim = points.shape
-    scaled, _ = _rescaled(points)
+    scaled = np.ldexp(points, -exponent) if exponent else points
     bound = MEMBERSHIP_RTOL * np.linalg.norm(scaled, axis=1)
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
@@ -184,7 +194,7 @@ def majorization_gap(sigma, anchor, data):
     everywhere, which is the certificate that one fixed-point update
     never increases the cost.  It is invariant to the data's scale.
     """
-    points, _ = _rescaled(check_points(data))
+    points, _ = _prepare(data)
     n, dim = points.shape
     _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
     if _singular(q_anchor):
@@ -198,7 +208,9 @@ def majorization_gap(sigma, anchor, data):
     log_det = _log_det(lower)
     # objective()'s cost, on the same factor of sigma as the surrogate
     cost = float(math.fsum(np.log(q)) / n + log_det / dim)
-    inner = float(np.trace(scipy.linalg.cho_solve((lower, True), moment)))
-    constant = float(np.mean(np.log(q_anchor))) - 1.0
+    if not np.isfinite(moment).all():  # scipy.linalg.cho_solve's check
+        raise ValueError("majorization_gap: the anchor's weighted moment is not finite")
+    inner = float(lapack.dpotrs(lower, moment, 1)[0].trace())  # cho_solve's call, lower=1
+    constant = float(np.add.reduce(np.log(q_anchor)) / n) - 1.0
     surrogate = inner + log_det / dim + constant
     return float(surrogate - cost)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _rescaled, check_points
+from .estimator import _prepare, check_points
 from .geometry import sym_eigendecompose
 
 __all__ = [
@@ -166,7 +166,7 @@ def subspace_members(points, subspace, rtol=MEMBERSHIP_RTOL):
     exact power-of-two rescaling, where the squared norms at that scale
     neither overflow nor underflow.
     """
-    points, _ = _rescaled(check_points(points))
+    points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(
             f"points live in dimension {points.shape[1]}, "

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _rescaled, check_points
+from .estimator import _prepare, check_points
 from .oracles import _subset_chunks, iter_subsets
 from .subspace import RANK_RTOL, Subspace, subspace_members
 
@@ -132,7 +132,7 @@ def spherical_projection(data):
     an extreme scale is first rescaled by an exact power of two, so the
     norms at that scale neither overflow nor underflow.
     """
-    points, _ = _rescaled(check_points(data))
+    points, _ = _prepare(data)
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 

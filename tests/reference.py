@@ -7,14 +7,19 @@ and a line-by-line CSV parser.  The library inverts only the triangular
 Cholesky factor, never the full matrix, never calls ``sqrtm``/``logm``,
 tests candidate subsets in stacked chunks and parses well-formed CSV
 bodies with numpy, so agreement between the two routes is evidence, not
-a tautology.
+a tautology.  The majorization gap is also kept on its earlier wrapped
+path (``cho_solve``, ``np.mean``, validation and rescaling as separate
+passes), which the library must match bit for bit.
 """
 
+import math
 import warnings
 
 import numpy as np
 import scipy.linalg
 
+from subrec.estimator import _SAFE_EXPONENT, _factor, _log_det, _singular, check_points
+from subrec.geometry import NotSPDError
 from subrec.oracles import ConditionReport, iter_subsets
 from subrec.subspace import Subspace, span_of_points, subspace_members
 
@@ -108,6 +113,29 @@ def pointwise_gap(sigma, anchor, points):
     """
     u = inv_quadratic_forms(sigma, points) / inv_quadratic_forms(anchor, points)
     return float(np.mean(u - np.log(u) - 1.0))
+
+
+def wrapped_gap(sigma, anchor, data):
+    """``majorization_gap`` through ``check_points``, a separate rescaling
+    pass, ``scipy.linalg.cho_solve`` and ``np.mean``."""
+    points = check_points(data)
+    exponent = math.frexp(max(points.max(), -points.min()))[1]
+    if abs(exponent) > _SAFE_EXPONENT:
+        points = np.ldexp(points, -exponent)
+    n, dim = points.shape
+    _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
+    if _singular(q_anchor):
+        raise ValueError("majorization_gap: anchor is numerically singular on this data")
+    moment = (points / q_anchor[:, None]).T @ points / n
+    moment = (moment + moment.T) / 2.0
+    lower, q, _ = _factor(sigma, points, "majorization_gap")
+    if _singular(q):
+        raise NotSPDError("majorization_gap: sigma is numerically singular on this data")
+    log_det = _log_det(lower)
+    cost = float(math.fsum(np.log(q)) / n + log_det / dim)
+    inner = float(np.trace(scipy.linalg.cho_solve((lower, True), moment)))
+    constant = float(np.mean(np.log(q_anchor))) - 1.0
+    return float(inner + log_det / dim + constant - cost)
 
 
 def subset_loop_violations(points, seed=0):

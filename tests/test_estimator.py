@@ -72,11 +72,28 @@ def test_check_points_accepts_lists():
         (np.array([[1.0, 1.0], [0.0, 0.0]]), "zero point at row 1"),
         # row 0's squares underflow, but only row 1 is zero
         (np.array([[1e-170, -1e-170], [0.0, -0.0]]), "zero point at row 1"),
+        # the only defect is a -inf, which the largest entry does not show
+        (np.array([[1.0, 2.0], [-np.inf, 0.5]]), "non-finite"),
+        # a zero row and a NaN: the NaN is reported, as it always was
+        (np.array([[0.0, 0.0], [1.0, np.nan]]), "non-finite"),
+        (np.array([[1.0, np.nan], [0.0, 0.0]]), "non-finite"),
     ],
 )
 def test_check_points_rejects(bad, match):
     with pytest.raises(ValueError, match=match):
         check_points(bad)
+    # every entry point validates the same way
+    with pytest.raises(ValueError, match=match):
+        estimate(bad)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_check_points_returns_the_data_unscaled(scale):
+    # the solver rescales extreme data internally; check_points does not
+    data = random_points(np.random.default_rng(32), 9, 3) * scale
+    out = check_points(data)
+    assert out.tobytes() == data.tobytes()
+    assert check_points(data.tolist()).tobytes() == data.tobytes()
 
 
 # ------------------------------------------------------------------- objective

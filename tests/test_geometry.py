@@ -42,6 +42,17 @@ def test_ensure_symmetric_rejects_nonsquare_and_nonfinite():
         ensure_symmetric(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         ensure_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        ensure_symmetric(np.array([[1.0, 0.0], [0.0, -np.inf]]))
+
+
+def test_ensure_symmetric_accepts_squares_that_overflow():
+    # finite entries whose squares overflow are not "non-finite"; the
+    # Frobenius norms are inf and the drift check passes, as before
+    mat = np.array([[1e200, 3e199], [3e199 * (1 + 1e-15), 1e200]])
+    with np.errstate(over="ignore"):
+        out = ensure_symmetric(mat)
+    assert out.tobytes() == ((mat + mat.T) / 2.0).tobytes()
 
 
 def test_eigendecompose_diagonal():
