@@ -48,10 +48,15 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
 
-# Data whose largest entry is outside [2**-_SAFE_EXPONENT, 2**_SAFE_EXPONENT]
-# is rescaled by a power of two before the solve: the quadratic forms grow
-# with the square of the data and would overflow or underflow at the extremes.
+# A row whose largest entry is outside [2**-(_SAFE_EXPONENT + 1),
+# 2**_SAFE_EXPONENT) is scaled by a power of two before use (_prepare): its
+# quadratic forms grow with the square of the row and would overflow or
+# underflow at the extremes.
 _SAFE_EXPONENT = 256
+# Row squared norms in [D * _LOW_NORM, _HIGH_NORM) leave every row's largest
+# entry in that range: _prepare then scales nothing.
+_LOW_NORM = 2.0 ** (-2 * _SAFE_EXPONENT - 2)
+_HIGH_NORM = 2.0 ** (2 * _SAFE_EXPONENT)
 
 # Rows per block of the pass over the data (_pass), fixed so that the
 # moment's sum is split at the same rows on every call.  Picked from a
@@ -139,33 +144,51 @@ def check_points(data):
     (a zero point has an undefined direction and breaks every quadratic
     form the estimator relies on).
     """
-    return _prepare(data, rescale=False)[0]
+    return _prepare(data)[0]
 
 
-def _prepare(data, rescale=True):
-    """:func:`check_points` and the data's scale in one pass: ``(points, e)``,
-    ``e`` the exponent that brings the largest entry into [1/2, 1), or 0 in
-    the safe range, and the points times ``2**-e`` if ``rescale``.  A power of
-    two scales every form by its exact square, so the trace-one moment, and
-    every iterate, is unchanged; the cost drops by exactly ``2 e ln 2``."""
+def _prepare(data):
+    """Validate the data and scale its rows: ``(points, prepared, offset)``.
+
+    ``points`` is the validated float array :func:`check_points` returns.
+    ``prepared`` is each row ``x`` times ``2**-e_x``.  Every row takes the
+    exponent ``E`` of the largest entry when ``|E| > _SAFE_EXPONENT`` (the
+    largest entry in ``[2**(E-1), 2**E)``), else 0; a row whose largest
+    entry is still below ``2**-(_SAFE_EXPONENT + 1)`` takes its own, which
+    brings that entry into [1/2, 1).  Every prepared row's largest entry
+    is then in ``[2**-(_SAFE_EXPONENT + 1), 2**_SAFE_EXPONENT)``.  A power
+    of two scales the row's forms by its exact square, which changes no
+    update and no iterate; the cost of the data is the cost of
+    ``prepared`` plus ``offset = 2 ln 2 mean(e_x)``.  ``prepared`` is
+    ``points`` itself when no row is scaled.
+    """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
     n, dim = points.shape
     if n < 1 or dim < 1:
         raise ValueError(f"data must contain at least one point, got shape {points.shape}")
-    # NaN and +-inf propagate into the largest magnitude; any() is exact,
-    # unlike a row norm, whose squares underflow for tiny points
-    top = max(points.max(), -points.min())
-    nonzero = points.any(axis=1)
-    if not (top < math.inf and nonzero.all()):
+    # numpy's own loop, not BLAS, in one pass: an overflow gives inf without
+    # a warning and NaN fails both comparisons, so norms in range also mean
+    # finite data without a zero row
+    norms = np.einsum("ij,ij->i", points, points)
+    if dim * _LOW_NORM <= norms.min() and norms.max() < _HIGH_NORM:
+        return points, points, 0.0
+    # NaN and +-inf propagate into a row's largest magnitude; a zero row
+    # gives 0, unlike a norm, whose squares underflow for tiny rows
+    top = np.maximum(points.max(axis=1), -points.min(axis=1))
+    if not (top.max() < math.inf and top.min() > 0.0):
         if not np.isfinite(points).all():
             raise ValueError("data has non-finite entries")
-        raise ValueError(f"data contains the zero point at row {np.argmin(nonzero)}")
-    exponent = math.frexp(top)[1]
-    if abs(exponent) <= _SAFE_EXPONENT:
-        return points, 0
-    return (np.ldexp(points, -exponent) if rescale else points), exponent
+        raise ValueError(f"data contains the zero point at row {np.argmin(top)}")
+    exponents = np.frexp(top)[1]
+    shift = int(exponents.max())
+    shift = shift if abs(shift) > _SAFE_EXPONENT else 0
+    exponents = np.where(exponents - shift < -_SAFE_EXPONENT, exponents, shift)
+    if not exponents.any():
+        return points, points, 0.0
+    offset = 2.0 * float(exponents.mean()) * math.log(2.0)
+    return points, np.ldexp(points, -exponents[:, None]), offset
 
 
 def _factor(sigma, points, who, moment=False):
@@ -275,14 +298,14 @@ def objective(sigma, data):
     float
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
-    points, exponent = _prepare(data)
+    _, points, offset = _prepare(data)
     lower, q, _ = _factor(sigma, points, "objective")
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
     # fsum's correctly rounded total keeps the value independent of the
     # data ordering, bit for bit
-    cost = float(math.fsum(np.log(q)) / points.shape[0] + _log_det(lower) / points.shape[1])
-    return cost + 2.0 * exponent * math.log(2.0) if exponent else cost
+    n, dim = points.shape
+    return float(math.fsum(np.log(q)) / n + _log_det(lower) / dim) + offset
 
 
 def fixed_point_step(sigma, data):
@@ -301,7 +324,7 @@ def fixed_point_step(sigma, data):
         floating-point signal that the iteration has hit a singular
         limit.
     """
-    points, _ = _prepare(data)
+    _, points, _ = _prepare(data)
     _, q, step = _factor(sigma, points, "fixed_point_step", moment=True)
     if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
@@ -342,23 +365,20 @@ def estimate(data, config=None, observer=None):
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
     formed (no positive trace, failed eigensolve, factorization or
-    inversion of the factor, singular forms).  When the forms are
-    singular already at ``identity / D``, as when one row is more than
-    about 1e160 times smaller than the largest and its form underflows
-    to 0, the run stops after 0 iterations with ``identity / D``, whose
-    eigenspace recovers nothing.
+    inversion of the factor, singular forms).
 
-    Data whose largest entry is beyond about 1e77 or below about 1e-77
-    is first multiplied by the power of two that brings that entry into
-    [1/2, 1); the iterates and objective values are those of the given
-    data.
+    The solve runs on the data with each row scaled by a power of two:
+    every row when the largest entry is beyond about 1e77 or below about
+    1e-77, and each row whose largest entry would still be below about
+    1e-77 by its own.  No form at ``identity / D`` is then 0 or inf.  The
+    iterates and objective values are those of the given data.
 
     Each iteration reads the data once, in blocks of a fixed number of
     rows B: one pass makes an iterate's quadratic forms and, unless the
     run stops at that iterate, the next iterate.  The scratch of a pass is
     two (D, B) arrays per block, not a copy of the data.
     """
-    points, exponent = _prepare(data)
+    _, points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
@@ -368,12 +388,8 @@ def estimate(data, config=None, observer=None):
     caller = np.geterr()
     with np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
-        _, q, candidate = _factor(sigma, points, "estimate", moment=True)
+        _, _, candidate = _factor(sigma, points, "estimate", moment=True)
         trace: list[IterationRecord] = []
-        if _singular(q):
-            # a row far smaller than the largest: its form at I/D underflows
-            # to 0, so not even the first update exists
-            return EstimateResult(sigma, Termination.BREAKDOWN, 0, trace)
         termination = Termination.MAX_ITERATIONS
         iterations = 0
 
@@ -406,10 +422,8 @@ def estimate(data, config=None, observer=None):
                 break
 
             # add.reduce, not objective()'s fsum, which is three times slower
-            cost = float(log_sum / n + _log_det(lower) / dim)
-            if exponent:
-                # the cost of the given data, not of the rescaled one
-                cost += 2.0 * exponent * math.log(2.0)
+            # the cost of the given data, not of the prepared one
+            cost = float(log_sum / n + _log_det(lower) / dim) + offset
             sigma, candidate = candidate, forms[1]
             iterations = k
             record = IterationRecord(k, cost, rel_step, float(vals[0]))

@@ -30,7 +30,6 @@ SYMMETRY_RTOL = 1e-12
 # A symmetric matrix counts as numerically positive definite when
 # eig_min > SPD_RTOL * eig_max.
 SPD_RTOL = 1e-14
-_TINY = np.finfo(float).tiny
 
 
 class NotSPDError(ValueError):
@@ -62,15 +61,23 @@ def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    # Frobenius norms as ufunc reductions: np.linalg.norm's BLAS dot costs
+    # Frobenius norms in numpy's own loops: np.linalg.norm's BLAS dot costs
     # more on small matrices and runs on numpy's OpenBLAS, whose worker
-    # pool the solver's SciPy calls would then compete with
-    scale = math.sqrt(np.add.reduce(np.square(mat), axis=None))
+    # pool the solver's SciPy calls would then compete with.  einsum gives
+    # inf on an overflow without a warning.
+    scale = math.sqrt(np.einsum("ij,ij->", mat, mat))
     if not scale < math.inf and not np.isfinite(mat).all():  # inf or NaN, not an overflow
         raise ValueError("matrix has non-finite entries")
+    # Outside [2**-256, 2**256) the squares below overflow, or lose bits to
+    # underflow near the threshold; a nonzero matrix is then checked and
+    # averaged as a copy whose largest entry is in [1/2, 1), exact both ways.
+    # Inside, scale is positive unless the matrix is zero.
+    if not 2.0**-256 <= scale < 2.0**256 and mat.any():
+        shift = math.frexp(np.abs(mat).max())[1]
+        return np.ldexp(ensure_symmetric(np.ldexp(mat, -shift), rtol), shift)
     asym = mat - mat.T
     drift = math.sqrt(np.add.reduce(np.square(asym, out=asym), axis=None))
-    if drift > rtol * max(scale, _TINY):
+    if drift > rtol * scale:
         raise ValueError(
             f"matrix is not symmetric (relative asymmetry {drift / scale:.3e})"
         )

@@ -123,17 +123,18 @@ def uniqueness_condition(data, seed=0):
     subset's span uses its numerical rank, so collinear or coplanar
     subsets are tested against the bound of their actual dimension.
     The comparison ``member_count / N < rank / D`` is done in exact
-    integer arithmetic.
+    integer arithmetic.  Spans and counts use each row scaled by a power
+    of two as the estimator scales it, so a row's magnitude does not
+    change the rank of a subset holding it.
 
     Exhaustive up to ``EXHAUSTIVE_LIMIT`` candidate subsets (intended
     for small N); beyond that a randomized sample of candidates is
     checked and the report says so.  Candidates are tested in stacked
     chunks; the report names the first violator in enumeration order.
     """
-    points, exponent = _prepare(data, rescale=False)
+    _, points, _ = _prepare(data)
     n, dim = points.shape
-    scaled = np.ldexp(points, -exponent) if exponent else points
-    bound = MEMBERSHIP_RTOL * np.linalg.norm(scaled, axis=1)
+    bound = MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
     )
@@ -146,7 +147,7 @@ def uniqueness_condition(data, seed=0):
             for rank in np.unique(ranks[ranks > 0]):
                 hit = np.flatnonzero(ranks == rank)
                 basis = u[hit, :, :rank]
-                residual = scaled - (scaled @ basis) @ basis.transpose(0, 2, 1)
+                residual = points - (points @ basis) @ basis.transpose(0, 2, 1)
                 counts = np.count_nonzero(np.linalg.norm(residual, axis=2) <= bound, axis=1)
                 # violation when count/n >= rank/dim
                 bad = np.flatnonzero(counts * dim >= rank * n)
@@ -194,7 +195,7 @@ def majorization_gap(sigma, anchor, data):
     everywhere, which is the certificate that one fixed-point update
     never increases the cost.  It is invariant to the data's scale.
     """
-    points, _ = _prepare(data)
+    _, points, _ = _prepare(data)
     n, dim = points.shape
     _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
     if _singular(q_anchor):

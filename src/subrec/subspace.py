@@ -161,12 +161,12 @@ def subspace_members(points, subspace, rtol=MEMBERSHIP_RTOL):
     """Boolean mask of the rows of ``points`` lying in the subspace.
 
     A row counts as a member when its residual against the subspace is
-    at most ``rtol`` times its norm.  The test is scale invariant, so
-    data whose largest entry is at an extreme scale is compared after an
-    exact power-of-two rescaling, where the squared norms at that scale
-    neither overflow nor underflow.
+    at most ``rtol`` times its norm.  The test is invariant to each row's
+    scale, so rows at extreme scales are compared after an exact
+    power-of-two scaling of each, where their squared norms neither
+    overflow nor underflow.
     """
-    points, _ = _prepare(points)
+    _, points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(
             f"points live in dimension {points.shape[1]}, "

@@ -128,11 +128,11 @@ def spherical_projection(data):
 
     The estimator's update and minimizer do not depend on point
     magnitudes, so this changes neither; it is useful for conditioning
-    data sets with wildly mixed scales.  Data whose largest entry is at
-    an extreme scale is first rescaled by an exact power of two, so the
-    norms at that scale neither overflow nor underflow.
+    data sets with wildly mixed scales.  Rows at extreme scales are first
+    scaled by an exact power of two each, so their norms neither overflow
+    nor underflow.
     """
-    points, _ = _prepare(data)
+    _, points, _ = _prepare(data)
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 
@@ -145,14 +145,11 @@ def general_position_check(data, truth, seed=0):
     side spans k dimensions (k up to the side's dimension).  Subset
     enumeration is exhaustive up to 1e5 subsets per size, after which
     1e4 random subsets are tested instead, making a pass probabilistic.
+    Each row is first scaled by a power of two as :func:`~subrec.estimator.estimate`
+    scales it, so the ranks depend on the rows' directions alone.
     """
-    points = check_points(data)
-    if points.shape[1] != truth.ambient_dim:
-        raise ValueError(
-            f"points live in dimension {points.shape[1]}, "
-            f"subspace in {truth.ambient_dim}"
-        )
-    inside = subspace_members(points, truth)
+    _, points, _ = _prepare(data)
+    inside = subspace_members(points, truth)  # checks the dimensions
     member_coords = points[inside] @ truth.basis
     complement = _complement_basis(truth)
     rest_coords = points[~inside] @ complement

@@ -9,7 +9,8 @@ tests candidate subsets in stacked chunks and parses well-formed CSV
 bodies with numpy, so agreement between the two routes is evidence, not
 a tautology.  The majorization gap is also kept on its earlier wrapped
 path (``cho_solve``, ``np.mean``, validation and rescaling as separate
-passes), which the library must match bit for bit.
+passes), and the per-row scaling of the data on a loop over rows with
+``math.frexp``; the library must match both bit for bit.
 """
 
 import math
@@ -136,6 +137,26 @@ def wrapped_gap(sigma, anchor, data):
     inner = float(np.trace(scipy.linalg.cho_solve((lower, True), moment)))
     constant = float(np.mean(np.log(q_anchor))) - 1.0
     return float(inner + log_det / dim + constant - cost)
+
+
+def per_row_prepared(points):
+    """The solver's scaling of valid data one row at a time: ``(prepared,
+    offset)``.  Every row takes the largest entry's exponent when it is
+    beyond +-_SAFE_EXPONENT, else 0; a row whose largest entry is still
+    below 2**-(_SAFE_EXPONENT + 1) after that takes its own exponent."""
+    points = np.asarray(points, dtype=float)
+    tops = [max(abs(v) for v in row) for row in points.tolist()]
+    shift = math.frexp(max(tops))[1]
+    if abs(shift) <= _SAFE_EXPONENT:
+        shift = 0
+    exponents = [
+        math.frexp(top)[1] if math.ldexp(top, -shift) < 2.0 ** -(_SAFE_EXPONENT + 1) else shift
+        for top in tops
+    ]
+    prepared = np.array(
+        [[math.ldexp(v, -e) for v in row] for row, e in zip(points.tolist(), exponents)]
+    ).reshape(points.shape)
+    return prepared, 2.0 * (sum(exponents) / len(exponents)) * math.log(2.0)
 
 
 def subset_loop_violations(points, seed=0):

@@ -18,6 +18,7 @@ from reference import (
     inv_quadratic_forms,
     inv_step,
     longdouble_quadratic_forms,
+    per_row_prepared,
     random_points,
     random_spd,
 )
@@ -96,6 +97,53 @@ def test_check_points_returns_the_data_unscaled(scale):
     assert check_points(data.tolist()).tobytes() == data.tobytes()
 
 
+def _prepare_cases():
+    rng = np.random.default_rng(33)
+    unit = random_points(rng, 13, 4)
+    cases = {f"scale-2^{e}": unit * 2.0**e for e in (0, 600, -600)}
+    for factor in (1e-200, 1e-300):
+        for e in (0, 600):
+            data = unit * 2.0**e
+            data[0] *= factor
+            cases[f"row-{factor:g}-at-2^{e}"] = data
+    data = unit.copy()
+    data[0] = [5e-324, 0.0, -0.0, 0.0]
+    cases["row-5e-324"] = data
+    cases["rows-2^-1000-to-2^1000"] = np.ldexp(
+        random_points(rng, 11, 3), np.arange(-1000, 1001, 200)[:, None]
+    )
+    cases["D-1"] = np.array([[3.0], [-1e-300], [5e-324], [2.0**-257], [1.5]])
+    # squared norms one ulp either side of the bounds D * 2**-514 and
+    # 2**512 at D = 2
+    below = 2.0**-257 * (1.0 - 2.0**-53)
+    cases["norm-below-low"] = np.array([[1.0, 2.0], [below, 2.0**-257]])
+    cases["norm-above-low"] = np.array([[1.0, 2.0], [2.0**-257, 2.0**-257 * (1.0 + 2.0**-52)]])
+    below = 2.0**256 * (1.0 - 2.0**-53)
+    cases["norm-below-high"] = np.array([[1.0, 2.0], [below, math.sqrt(2.0**459)]])
+    cases["norm-above-high"] = np.array([[1.0, 2.0], [below, math.sqrt(2.0**461)]])
+    return cases
+
+
+PREPARE_CASES = _prepare_cases()
+
+
+@pytest.mark.parametrize("case", list(PREPARE_CASES))
+def test_prepare_matches_the_per_row_rule(case):
+    data = PREPARE_CASES[case]
+    if case.startswith("norm-"):
+        _, side, bound = case.split("-")
+        bound = {"low": 2.0 * 2.0**-514, "high": 2.0**512}[bound]
+        toward = {"below": 0.0, "above": math.inf}[side]
+        assert np.einsum("ij,ij->i", data, data)[1] == np.nextafter(bound, toward)
+    points, prepared, offset = subrec.estimator._prepare(data)
+    assert points is data
+    expected, expected_offset = per_row_prepared(data)
+    assert prepared.tobytes() == expected.tobytes()
+    assert offset.hex() == expected_offset.hex()
+    # no copy when no row is scaled
+    assert (prepared is points) == (expected.tobytes() == data.tobytes())
+
+
 # ------------------------------------------------------------------- objective
 
 
@@ -117,6 +165,8 @@ def test_objective_scale_invariance():
     base = objective(sigma, data)
     for c in (1e-6, 1e-3, 1.0, 1e3, 1e6):
         assert abs(objective(c * sigma, data) - base) <= 1e-10
+    # a sigma whose entries sum past the largest double is accepted too
+    assert abs(objective(np.diag([1.7e308, 1.0]), np.eye(2))) <= 1e-12
 
 
 def test_objective_matches_inverse_route():
@@ -454,17 +504,19 @@ def test_estimate_degenerate_span_breaks_down():
     assert np.all(np.isfinite(result.sigma))
 
 
-def test_estimate_one_tiny_row_breaks_down_without_warning():
-    # row 0's form at I/D underflows to 0, so no first update exists;
-    # the run stops before dividing by it
-    points, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_estimate_one_tiny_row_converges_without_warning(scale):
+    # row 0's form at I/D would underflow to 0 beside the other rows; the
+    # solver scales that row on its own, so the run converges as without
+    # the factor
+    points, truth = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    points = points * scale
     points[0] *= 1e-200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = estimate(points)
-    assert result.termination == Termination.BREAKDOWN
-    assert result.iterations == 0 and result.trace == []
-    assert np.array_equal(result.sigma, np.eye(10) / 10)
+    assert result.termination == Termination.CONVERGED
+    assert recovery_error(top_d_subspace(result.sigma, 5), truth) <= 1e-6
 
 
 def test_estimate_max_iterations():

@@ -35,6 +35,11 @@ def test_ensure_symmetric_absorbs_drift():
 def test_ensure_symmetric_rejects_real_asymmetry():
     with pytest.raises(ValueError, match="not symmetric"):
         ensure_symmetric(np.array([[1.0, 0.3], [0.0, 1.0]]))
+    # the squares overflow at 1e200 and underflow at 1e-200; the check
+    # still sees the relative asymmetry of 0.471
+    for scale in (1e200, 1e-200):
+        with pytest.raises(ValueError, match=r"relative asymmetry 4\.714e-01"):
+            ensure_symmetric(np.array([[1.0, 0.0], [0.5, 1.0]]) * scale)
 
 
 def test_ensure_symmetric_rejects_nonsquare_and_nonfinite():
@@ -48,11 +53,13 @@ def test_ensure_symmetric_rejects_nonsquare_and_nonfinite():
 
 def test_ensure_symmetric_accepts_squares_that_overflow():
     # finite entries whose squares overflow are not "non-finite"; the
-    # Frobenius norms are inf and the drift check passes, as before
+    # drift is checked on a power-of-two scaled copy, without a warning
     mat = np.array([[1e200, 3e199], [3e199 * (1 + 1e-15), 1e200]])
-    with np.errstate(over="ignore"):
-        out = ensure_symmetric(mat)
+    out = ensure_symmetric(mat)
     assert out.tobytes() == ((mat + mat.T) / 2.0).tobytes()
+    # mat + mat.T itself would overflow here
+    huge = np.diag([1.7e308, 1.0])
+    assert ensure_symmetric(huge).tobytes() == huge.tobytes()
 
 
 def test_eigendecompose_diagonal():

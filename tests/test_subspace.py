@@ -208,6 +208,9 @@ def test_subspace_members_mask():
     for scale in (1.0, 1e-170, 1e160):
         mask = subspace_members(points * scale, E1_R2)
         assert mask.tolist() == [True, True, False, False]
+    # one tiny row beside unit rows: both of its norms would underflow to 0
+    mask = subspace_members(np.array([[1.0, 0.0], [0.0, 1e-170], [2.0, 1.0]]), E1_R2)
+    assert mask.tolist() == [True, False, False]
 
 
 def test_span_of_points_ranks():

@@ -146,6 +146,9 @@ def test_spherical_projection_examples():
         out = spherical_projection(np.array([[3.0, 4.0]]) * scale)
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
         np.testing.assert_allclose(spherical_projection(units * scale), units, atol=1e-15)
+    # one tiny row beside unit rows: its norm would underflow to 0
+    out = spherical_projection(np.array([[1.0, 0.0], [0.0, 1e-170], [2.0, 1.0]]))
+    np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0], [0.8**0.5, 0.2**0.5]], atol=1e-15)
 
 
 def test_spherical_projection_normalizes():
@@ -196,6 +199,8 @@ def test_general_position_rejects_duplicate_outliers():
         [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]
     )
     assert not general_position_check(points, truth)
+    with pytest.raises(ValueError, match="points live in dimension 2, subspace in 3"):
+        general_position_check(points[:, :2], truth)
 
 
 def test_general_position_on_generated_data():
@@ -203,4 +208,10 @@ def test_general_position_on_generated_data():
         ambient_dim=10, subspace_dim=5, n_inliers=20, n_outliers=20, seed=7
     )
     points, truth = generate(model)
+    assert general_position_check(points, truth)
+    # a row 1e-200 times smaller has the same direction; unscaled, its
+    # coordinates would fail the rank test of every subset holding it
+    points, truth = generate(SyntheticModel(4, 2, 6, 4, seed=3))
+    assert general_position_check(points, truth)
+    points[0] *= 1e-200
     assert general_position_check(points, truth)
