@@ -2,8 +2,11 @@
 
 Every command writes its primary output plus a ``<out>.manifest.json``
 recording the command line, the parsed configuration, seeds, input and
-output paths, duration, and the library version.  Rerunning a command
-with the same arguments reproduces the data files byte for byte.
+output paths, duration, and the library version.  ``seeds`` is
+``[--seed]`` for the commands that have that flag and empty otherwise;
+``inputs`` lists the files read, ``--in`` and then ``--truth``, as given.
+Rerunning a command with the same arguments reproduces the data files
+byte for byte.
 """
 
 from __future__ import annotations
@@ -85,12 +88,12 @@ def _claim_outputs(args):
     return paths
 
 
-def _write_manifest(args, argv, seeds, inputs, outputs, started):
+def _write_manifest(args, argv, outputs, started):
     manifest = {
         "command_line": ["subrec", *argv],
         "config": {k: v for k, v in vars(args).items() if not k.startswith("_")},
-        "seeds": seeds,
-        "inputs": [str(p) for p in inputs],
+        "seeds": [args.seed] if hasattr(args, "seed") else [],
+        "inputs": [p for p in (vars(args).get("infile"), vars(args).get("truth")) if p],
         "outputs": [str(p) for p in outputs],
         "duration_seconds": time.perf_counter() - started,
         "version": __version__,
@@ -98,19 +101,23 @@ def _write_manifest(args, argv, seeds, inputs, outputs, started):
     write_json(f"{outputs[0]}.manifest.json", manifest)
 
 
+# Flag dests and the SyntheticModel and experiment-driver keywords they set
+_FIELDS = {
+    "D": "ambient_dim", "d": "subspace_dim", "n_inliers": "n_inliers",
+    "n_outliers": "n_outliers", "noise": "noise", "seed": "seed",
+    "tol": "tol", "max_iter": "max_iter",
+}
+
+
+def _fields(args):
+    """The keywords of ``_FIELDS`` for the flags the command has."""
+    return {field: getattr(args, dest) for dest, field in _FIELDS.items() if hasattr(args, dest)}
+
+
 def cmd_synth(args):
-    model = SyntheticModel(
-        ambient_dim=args.D,
-        subspace_dim=args.d,
-        n_inliers=args.n_inliers,
-        n_outliers=args.n_outliers,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    points, truth = generate(model)
+    points, truth = generate(SyntheticModel(**_fields(args)))
     write_points_csv(args.out, points)
     write_truth_json(args.truth_out, truth)
-    return [args.seed], []
 
 
 def cmd_estimate(args):
@@ -150,56 +157,23 @@ def cmd_estimate(args):
             ["k", "objective", "rel_step", "lambda_min", "recovery_error"],
             rows,
         )
-    inputs = [args.infile] + ([args.truth] if args.truth else [])
-    return [], inputs
 
 
 def cmd_experiment_exact_recovery(args):
     counts = _parse_int_range(args.n_inliers_range)
-    rows = exact_recovery_sweep(
-        ambient_dim=args.D,
-        subspace_dim=args.d,
-        n_outliers=args.n_outliers,
-        inlier_counts=counts,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    rows = exact_recovery_sweep(inlier_counts=counts, trials=args.trials, **_fields(args))
     write_rows_csv(args.out, ["n_inliers", "mean_recovery_error", "std", "trials"], rows)
-    return [args.seed], []
 
 
 def cmd_experiment_convergence(args):
-    _, _, rows = convergence_run(
-        ambient_dim=args.D,
-        subspace_dim=args.d,
-        n_inliers=args.n_inliers,
-        n_outliers=args.n_outliers,
-        noise=args.noise,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    _, _, rows = convergence_run(**_fields(args))
     write_rows_csv(args.out, ["k", "sigma_diff_to_final", "recovery_error_k"], rows)
-    return [args.seed], []
 
 
 def cmd_experiment_noise(args):
     levels = _parse_log_range(args.noise_range)
-    rows = noise_sweep(
-        ambient_dim=args.D,
-        subspace_dim=args.d,
-        n_inliers=args.n_inliers,
-        n_outliers=args.n_outliers,
-        noise_levels=levels,
-        trials=args.trials,
-        seed=args.seed,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
+    rows = noise_sweep(noise_levels=levels, trials=args.trials, **_fields(args))
     write_rows_csv(args.out, ["epsilon", "mean_recovery_error", "std"], rows)
-    return [args.seed], []
 
 
 def _add_model_flags(parser, with_inliers=True):
@@ -221,6 +195,12 @@ def _add_solver_flags(parser):
     )
 
 
+def _add_command_end(parser, run, *outputs):
+    """The last flag, --force, and the command's function and output flags."""
+    parser.add_argument("--force", action="store_true", help="overwrite existing files")
+    parser.set_defaults(_run=run, _outputs=outputs)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="subrec",
@@ -235,8 +215,7 @@ def build_parser():
     synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     synth.add_argument("--out", required=True, help="points CSV to write")
     synth.add_argument("--truth-out", required=True, help="truth JSON to write")
-    synth.add_argument("--force", action="store_true", help="overwrite existing files")
-    synth.set_defaults(_run=cmd_synth, _outputs=("out", "truth_out"))
+    _add_command_end(synth, cmd_synth, "out", "truth_out")
 
     est = commands.add_parser("estimate", help="run the estimator on a points CSV")
     est.add_argument("--in", dest="infile", required=True, help="points CSV to read")
@@ -245,8 +224,7 @@ def build_parser():
     est.add_argument("--out", required=True, help="result JSON to write")
     est.add_argument("--trace", help="also write a per-iteration trace CSV here")
     est.add_argument("--truth", help="truth JSON; adds recovery error to the outputs")
-    est.add_argument("--force", action="store_true", help="overwrite existing files")
-    est.set_defaults(_run=cmd_estimate, _outputs=("out", "trace"))
+    _add_command_end(est, cmd_estimate, "out", "trace")
 
     experiment = commands.add_parser("experiment", help="run a sweep experiment")
     kinds = experiment.add_subparsers(dest="experiment_command", required=True)
@@ -263,8 +241,7 @@ def build_parser():
     sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     _add_solver_flags(sweep)
     sweep.add_argument("--out", required=True, help="summary CSV to write")
-    sweep.add_argument("--force", action="store_true", help="overwrite existing files")
-    sweep.set_defaults(_run=cmd_experiment_exact_recovery, _outputs=("out",))
+    _add_command_end(sweep, cmd_experiment_exact_recovery, "out")
 
     conv = kinds.add_parser("convergence", help="per-iteration distances for one run")
     _add_model_flags(conv)
@@ -272,8 +249,7 @@ def build_parser():
     conv.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     _add_solver_flags(conv)
     conv.add_argument("--out", required=True, help="per-iteration CSV to write")
-    conv.add_argument("--force", action="store_true", help="overwrite existing files")
-    conv.set_defaults(_run=cmd_experiment_convergence, _outputs=("out",))
+    _add_command_end(conv, cmd_experiment_convergence, "out")
 
     noise = kinds.add_parser("noise", help="recovery error across noise levels")
     _add_model_flags(noise)
@@ -285,8 +261,7 @@ def build_parser():
     noise.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     _add_solver_flags(noise)
     noise.add_argument("--out", required=True, help="summary CSV to write")
-    noise.add_argument("--force", action="store_true", help="overwrite existing files")
-    noise.set_defaults(_run=cmd_experiment_noise, _outputs=("out",))
+    _add_command_end(noise, cmd_experiment_noise, "out")
 
     return parser
 
@@ -298,8 +273,8 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         outputs = _claim_outputs(args)
-        seeds, inputs = args._run(args)
-        _write_manifest(args, argv, seeds, inputs, outputs, started)
+        args._run(args)
+        _write_manifest(args, argv, outputs, started)
     except (CLIError, ValueError, OSError) as err:
         print(f"subrec: {err}", file=sys.stderr)
         return 1

@@ -144,7 +144,40 @@ def check_points(data):
     (a zero point has an undefined direction and breaks every quadratic
     form the estimator relies on).
     """
-    return _prepare(data)[0]
+    return _validate(data)[0]
+
+
+def _validate(data):
+    """``(points, top)``: the array :func:`check_points` returns and each
+    row's largest magnitude, or None for ``top`` when the row norms show
+    that :func:`_prepare` scales no row."""
+    points = np.asarray(data, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
+    n, dim = points.shape
+    if n < 1 or dim < 1:
+        raise ValueError(f"data must contain at least one point, got shape {points.shape}")
+    # numpy's own loop, not BLAS, in one pass: an overflow gives inf without
+    # a warning and NaN fails both comparisons, so norms in range also mean
+    # finite data without a zero row
+    norms = np.einsum("ij,ij->i", points, points)
+    if dim * _LOW_NORM <= norms.min() and norms.max() < _HIGH_NORM:
+        return points, None
+    # NaN and +-inf propagate into a row's largest magnitude; a zero row
+    # gives 0, unlike a norm, whose squares underflow for tiny rows
+    top = np.maximum(points.max(axis=1), -points.min(axis=1))
+    if not (top.max() < math.inf and top.min() > 0.0):
+        if not np.isfinite(points).all():
+            raise ValueError("data has non-finite entries")
+        raise ValueError(f"data contains the zero point at row {np.argmin(top)}")
+    return points, top
+
+
+def _whole_array_shift(top):
+    """The exponent ``E`` of the largest of the row magnitudes ``top`` when
+    ``|E| > _SAFE_EXPONENT``, else 0: the power of two every row takes."""
+    shift = math.frexp(top.max())[1]
+    return shift if abs(shift) > _SAFE_EXPONENT else 0
 
 
 def _prepare(data):
@@ -162,28 +195,11 @@ def _prepare(data):
     ``prepared`` plus ``offset = 2 ln 2 mean(e_x)``.  ``prepared`` is
     ``points`` itself when no row is scaled.
     """
-    points = np.asarray(data, dtype=float)
-    if points.ndim != 2:
-        raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
-    n, dim = points.shape
-    if n < 1 or dim < 1:
-        raise ValueError(f"data must contain at least one point, got shape {points.shape}")
-    # numpy's own loop, not BLAS, in one pass: an overflow gives inf without
-    # a warning and NaN fails both comparisons, so norms in range also mean
-    # finite data without a zero row
-    norms = np.einsum("ij,ij->i", points, points)
-    if dim * _LOW_NORM <= norms.min() and norms.max() < _HIGH_NORM:
+    points, top = _validate(data)
+    if top is None:
         return points, points, 0.0
-    # NaN and +-inf propagate into a row's largest magnitude; a zero row
-    # gives 0, unlike a norm, whose squares underflow for tiny rows
-    top = np.maximum(points.max(axis=1), -points.min(axis=1))
-    if not (top.max() < math.inf and top.min() > 0.0):
-        if not np.isfinite(points).all():
-            raise ValueError("data has non-finite entries")
-        raise ValueError(f"data contains the zero point at row {np.argmin(top)}")
     exponents = np.frexp(top)[1]
-    shift = int(exponents.max())
-    shift = shift if abs(shift) > _SAFE_EXPONENT else 0
+    shift = _whole_array_shift(top)
     exponents = np.where(exponents - shift < -_SAFE_EXPONENT, exponents, shift)
     if not exponents.any():
         return points, points, 0.0

@@ -36,16 +36,13 @@ class NotSPDError(ValueError):
     """A matrix that had to be positive definite is not (numerically)."""
 
 
-def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
+def ensure_symmetric(mat):
     """Return the symmetrized copy of ``mat``, rejecting real asymmetry.
 
     Parameters
     ----------
     mat : ndarray, shape (D, D)
         Square matrix with finite entries.
-    rtol : float
-        Maximum allowed asymmetry, relative to the Frobenius norm of
-        ``mat``.
 
     Returns
     -------
@@ -56,7 +53,8 @@ def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
     ------
     ValueError
         If ``mat`` is not square, has non-finite entries, or deviates
-        from symmetry by more than ``rtol`` in relative Frobenius norm.
+        from symmetry by more than ``SYMMETRY_RTOL`` (1e-12) in relative
+        Frobenius norm.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -74,10 +72,10 @@ def ensure_symmetric(mat, rtol=SYMMETRY_RTOL):
     # Inside, scale is positive unless the matrix is zero.
     if not 2.0**-256 <= scale < 2.0**256 and mat.any():
         shift = math.frexp(np.abs(mat).max())[1]
-        return np.ldexp(ensure_symmetric(np.ldexp(mat, -shift), rtol), shift)
+        return np.ldexp(ensure_symmetric(np.ldexp(mat, -shift)), shift)
     asym = mat - mat.T
     drift = math.sqrt(np.add.reduce(np.square(asym, out=asym), axis=None))
-    if drift > rtol * scale:
+    if drift > SYMMETRY_RTOL * scale:
         raise ValueError(
             f"matrix is not symmetric (relative asymmetry {drift / scale:.3e})"
         )

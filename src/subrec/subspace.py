@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _prepare, check_points
+from .estimator import _prepare, _validate, _whole_array_shift
 from .geometry import sym_eigendecompose
 
 __all__ = [
@@ -135,9 +135,15 @@ def pca_subspace(data, d, center=False):
 
     With ``center=True`` the sample mean is removed first, making this
     ordinary PCA; the default keeps raw second moments, which is what
-    the recovery experiments compare against.
+    the recovery experiments compare against.  Data whose largest entry
+    is beyond about 1e77 or below about 1e-77 is first scaled as a whole
+    by a power of two, so the moment neither overflows nor underflows;
+    the rows keep their relative sizes, on which PCA depends.
     """
-    points = check_points(data)
+    points, top = _validate(data)
+    shift = 0 if top is None else _whole_array_shift(top)
+    if shift:
+        points = np.ldexp(points, -shift)
     if center:
         points = points - points.mean(axis=0)
     moment = points.T @ points / points.shape[0]
@@ -157,14 +163,14 @@ def distance_to_subspace(x, subspace):
     return float(np.linalg.norm(x - subspace.basis @ coeffs))
 
 
-def subspace_members(points, subspace, rtol=MEMBERSHIP_RTOL):
+def subspace_members(points, subspace):
     """Boolean mask of the rows of ``points`` lying in the subspace.
 
     A row counts as a member when its residual against the subspace is
-    at most ``rtol`` times its norm.  The test is invariant to each row's
-    scale, so rows at extreme scales are compared after an exact
-    power-of-two scaling of each, where their squared norms neither
-    overflow nor underflow.
+    at most ``MEMBERSHIP_RTOL`` (1e-9) times its norm.  The test is
+    invariant to each row's scale, so rows at extreme scales are compared
+    after an exact power-of-two scaling of each, where their squared
+    norms neither overflow nor underflow.
     """
     _, points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
@@ -173,7 +179,8 @@ def subspace_members(points, subspace, rtol=MEMBERSHIP_RTOL):
             f"subspace in {subspace.ambient_dim}"
         )
     residual = points - (points @ subspace.basis) @ subspace.basis.T
-    return np.linalg.norm(residual, axis=1) <= rtol * np.linalg.norm(points, axis=1)
+    bound = MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
+    return np.linalg.norm(residual, axis=1) <= bound
 
 
 def span_of_points(points):

@@ -416,6 +416,51 @@ def test_experiment_noise(tmp_path):
     np.testing.assert_allclose(eps, [1e-3, 1e-2, 1e-1], rtol=1e-12)
 
 
+MODEL_FLAGS = ["--D", "4", "--d", "2", "--n-inliers", "8", "--n-outliers", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, seeds, inputs",
+    [
+        (["estimate", "--in", "{in}", "--d", "2", "--out", "{out}"], [], ["{in}"]),
+        # --in comes first in the manifest, whatever the order of the flags
+        (
+            ["estimate", "--truth", "{truth}", "--in", "{in}", "--d", "2",
+             "--trace", "{dir}/trace.csv", "--out", "{out}"],
+            [],
+            ["{in}", "{truth}"],
+        ),
+        (
+            ["experiment", "exact-recovery", "--D", "4", "--d", "2", "--n-outliers", "5",
+             "--n-inliers-range", "8:8:1", "--trials", "1", "--seed", "5", "--out", "{out}"],
+            [5],
+            [],
+        ),
+        (["experiment", "convergence", *MODEL_FLAGS, "--seed", "6", "--out", "{out}"], [6], []),
+        (
+            ["experiment", "noise", *MODEL_FLAGS, "--noise-range", "0.01:0.01:1",
+             "--trials", "1", "--seed", "7", "--out", "{out}"],
+            [7],
+            [],
+        ),
+    ],
+    ids=["estimate", "estimate-truth", "exact-recovery", "convergence", "noise"],
+)
+def test_manifest_seeds_and_inputs(tmp_path, argv, seeds, inputs):
+    points, truth = generate(SyntheticModel(4, 2, 8, 5, seed=3))
+    write_inputs(tmp_path, points, truth)
+    paths = {
+        "in": str(tmp_path / "in.csv"),
+        "truth": str(tmp_path / "truth.json"),
+        "out": str(tmp_path / "out"),
+        "dir": str(tmp_path),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 0
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+    assert manifest["seeds"] == seeds
+    assert manifest["inputs"] == [p.format(**paths) for p in inputs]
+
+
 @pytest.mark.parametrize(
     "argv_tail, message",
     [

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -95,6 +96,20 @@ def test_check_points_returns_the_data_unscaled(scale):
     out = check_points(data)
     assert out.tobytes() == data.tobytes()
     assert check_points(data.tolist()).tobytes() == data.tobytes()
+
+
+def test_check_points_makes_no_copy_of_extreme_data():
+    # the validation ends before the scaling: at a scale that _prepare
+    # rescales, check_points still allocates no (N, D) array
+    data = random_points(np.random.default_rng(34), 4000, 50) * 1e200
+    tracemalloc.start()
+    try:
+        out = check_points(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out is data
+    assert peak < data.nbytes / 2
 
 
 def _prepare_cases():

@@ -1,6 +1,7 @@
 """Subspace construction, projector algebra, and the PCA baseline."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,27 @@ def test_pca_loses_to_the_estimator_on_contaminated_data():
     tyler_err = recovery_error(top_d_subspace(estimate(points).sigma, 5), truth)
     pca_err = recovery_error(pca_subspace(points, 5), truth)
     assert pca_err > tyler_err
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_pca_at_extreme_scales(scale):
+    # the moment would overflow, or underflow into a tie at the cut
+    points, truth = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    expected = recovery_error(pca_subspace(points, 5), truth)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = pca_subspace(points * scale, 5)
+    assert abs(recovery_error(found, truth) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1.0, 1e60])
+@pytest.mark.parametrize("tiny_row", [False, True])
+def test_pca_scales_nothing_at_ordinary_scales(scale, tiny_row):
+    data = random_points(np.random.default_rng(55), 30, 4) * scale
+    if tiny_row:
+        data[0] *= 1e-200  # scaled by the estimator, not by PCA
+    moment = data.T @ data / data.shape[0]
+    assert pca_subspace(data, 2).basis.tobytes() == top_d_subspace(moment, 2).basis.tobytes()
 
 
 # --------------------------------------------------------- distance_to_subspace
