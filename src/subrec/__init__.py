@@ -31,7 +31,6 @@ from .geometry import (
     ensure_symmetric,
     geodesic,
     geometric_mean,
-    is_numerically_spd,
     spd_distance,
     spd_sqrt,
     sym_eigendecompose,
@@ -45,7 +44,6 @@ from .oracles import (
 from .subspace import (
     AmbiguousSubspaceWarning,
     Subspace,
-    distance_to_subspace,
     pca_subspace,
     recovery_error,
     span_of_points,
@@ -75,7 +73,6 @@ __all__ = [
     "Termination",
     "check_points",
     "convergence_run",
-    "distance_to_subspace",
     "ensure_symmetric",
     "estimate",
     "exact_recovery_sweep",
@@ -84,7 +81,6 @@ __all__ = [
     "generate",
     "geodesic",
     "geometric_mean",
-    "is_numerically_spd",
     "majorization_gap",
     "noise_sweep",
     "objective",

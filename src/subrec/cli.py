@@ -35,23 +35,19 @@ from .synthetic import SyntheticModel, generate
 __all__ = ["main"]
 
 
-class CLIError(Exception):
-    """A command failed in a way the user has to fix."""
-
-
 def _parse_int_range(text):
     """Parse ``lo:hi:step`` into an inclusive list of ints."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise CLIError(f"expected lo:hi:step, got {text!r}")
+        raise ValueError(f"expected lo:hi:step, got {text!r}")
     try:
         lo, hi, step = (int(p) for p in parts)
     except ValueError:
-        raise CLIError(f"range bounds must be integers, got {text!r}") from None
+        raise ValueError(f"range bounds must be integers, got {text!r}") from None
     if step < 1:
-        raise CLIError(f"range step must be positive, got {step}")
+        raise ValueError(f"range step must be positive, got {step}")
     if hi < lo:
-        raise CLIError(f"range is empty: {text!r}")
+        raise ValueError(f"range is empty: {text!r}")
     return list(range(lo, hi + 1, step))
 
 
@@ -59,16 +55,16 @@ def _parse_log_range(text):
     """Parse ``lo:hi:steps`` into a log-spaced list of floats."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise CLIError(f"expected lo:hi:steps, got {text!r}")
+        raise ValueError(f"expected lo:hi:steps, got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
         steps = int(parts[2])
     except ValueError:
-        raise CLIError(f"bad log range {text!r}") from None
+        raise ValueError(f"bad log range {text!r}") from None
     if not 0.0 < lo <= hi:
-        raise CLIError(f"need 0 < lo <= hi, got {text!r}")
+        raise ValueError(f"need 0 < lo <= hi, got {text!r}")
     if steps < 1:
-        raise CLIError(f"need at least one step, got {steps}")
+        raise ValueError(f"need at least one step, got {steps}")
     # geomspace returns lo itself for a single step
     return [float(v) for v in np.geomspace(lo, hi, steps)]
 
@@ -80,11 +76,11 @@ def _claim_outputs(args):
     paths = [p for p in paths if p is not None]
     claimed = [Path(p).resolve() for p in [*paths, f"{paths[0]}.manifest.json"]]
     if len(set(claimed)) < len(claimed):
-        raise CLIError(f"outputs {', '.join(paths)} and their manifest are not distinct files")
+        raise ValueError(f"outputs {', '.join(paths)} and their manifest are not distinct files")
     if not args.force:
         for p in paths:
             if Path(p).exists():
-                raise CLIError(f"{p} exists, pass --force to overwrite")
+                raise ValueError(f"{p} exists, pass --force to overwrite")
     return paths
 
 
@@ -275,7 +271,7 @@ def main(argv=None):
         outputs = _claim_outputs(args)
         args._run(args)
         _write_manifest(args, argv, outputs, started)
-    except (CLIError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"subrec: {err}", file=sys.stderr)
         return 1
     return 0

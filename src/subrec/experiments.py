@@ -25,6 +25,18 @@ __all__ = [
 ]
 
 
+def _solve(
+    ambient_dim, subspace_dim, n_inliers, n_outliers, noise, seed, tol, max_iter,
+    observer=None,
+):
+    """``(result, truth)``: the estimate on the seeded synthetic data set
+    these arguments describe, and that set's inlier subspace."""
+    model = SyntheticModel(ambient_dim, subspace_dim, n_inliers, n_outliers, noise, seed)
+    points, truth = generate(model)
+    config = EstimatorConfig(tol=tol, max_iter=max_iter)
+    return estimate(points, config, observer=observer), truth
+
+
 def recovery_trial(
     ambient_dim,
     subspace_dim,
@@ -41,16 +53,9 @@ def recovery_trial(
     the error is still well defined (and in the recovery regime it is
     exactly the interesting number).
     """
-    model = SyntheticModel(
-        ambient_dim=ambient_dim,
-        subspace_dim=subspace_dim,
-        n_inliers=n_inliers,
-        n_outliers=n_outliers,
-        noise=noise,
-        seed=seed,
+    result, truth = _solve(
+        ambient_dim, subspace_dim, n_inliers, n_outliers, noise, seed, tol, max_iter
     )
-    points, truth = generate(model)
-    result = estimate(points, EstimatorConfig(tol=tol, max_iter=max_iter))
     found = top_d_subspace(result.sigma, subspace_dim)
     return recovery_error(found, truth)
 
@@ -115,19 +120,9 @@ def convergence_run(
     ``(k, distance_to_final, recovery_error_at_k)`` for k = 1 .. K; the
     last row's distance is zero by construction.
     """
-    model = SyntheticModel(
-        ambient_dim=ambient_dim,
-        subspace_dim=subspace_dim,
-        n_inliers=n_inliers,
-        n_outliers=n_outliers,
-        noise=noise,
-        seed=seed,
-    )
-    points, truth = generate(model)
     iterates = []
-    result = estimate(
-        points,
-        EstimatorConfig(tol=tol, max_iter=max_iter),
+    result, truth = _solve(
+        ambient_dim, subspace_dim, n_inliers, n_outliers, noise, seed, tol, max_iter,
         observer=lambda sigma, record: iterates.append(sigma),
     )
     rows = []

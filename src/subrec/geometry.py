@@ -17,7 +17,6 @@ import scipy.linalg
 __all__ = [
     "NotSPDError",
     "ensure_symmetric",
-    "is_numerically_spd",
     "sym_eigendecompose",
     "spd_sqrt",
     "spd_distance",
@@ -112,15 +111,6 @@ def _spd_eigendecompose(mat, what):
             f"(eig_min={vals[-1]:.3e}, eig_max={vals[0]:.3e})"
         )
     return vals, vecs
-
-
-def is_numerically_spd(mat):
-    """True when ``mat`` is symmetric with eig_min > 1e-14 * eig_max."""
-    try:
-        _spd_eigendecompose(mat, "is_numerically_spd")
-    except (ValueError, np.linalg.LinAlgError):
-        return False
-    return True
 
 
 def _recompose(vals, vecs):

@@ -22,9 +22,9 @@ from itertools import combinations, islice
 import numpy as np
 from scipy.linalg import lapack
 
-from .estimator import _factor, _log_det, _prepare, _singular, check_points
+from .estimator import _factor, _log_det, _prepare, _singular
 from .geometry import NotSPDError
-from .subspace import MEMBERSHIP_RTOL, RANK_RTOL, Subspace, subspace_members
+from .subspace import Subspace, _members, _rank
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -134,7 +134,6 @@ def uniqueness_condition(data, seed=0):
     """
     _, points, _ = _prepare(data)
     n, dim = points.shape
-    bound = MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
     )
@@ -142,13 +141,12 @@ def uniqueness_condition(data, seed=0):
         found = []
         for order, idx in chunk:
             u, s, _ = np.linalg.svd(points[idx].transpose(0, 2, 1), full_matrices=False)
-            ranks = np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1)
+            ranks = _rank(s)
             # sizes stop at D-1, so every rank is below D
             for rank in np.unique(ranks[ranks > 0]):
                 hit = np.flatnonzero(ranks == rank)
                 basis = u[hit, :, :rank]
-                residual = points - (points @ basis) @ basis.transpose(0, 2, 1)
-                counts = np.count_nonzero(np.linalg.norm(residual, axis=2) <= bound, axis=1)
+                counts = np.count_nonzero(_members(points, basis), axis=1)
                 # violation when count/n >= rank/dim
                 bad = np.flatnonzero(counts * dim >= rank * n)
                 if bad.size:
@@ -169,13 +167,13 @@ def uniqueness_condition(data, seed=0):
 
 def recovery_condition(data, candidate):
     """Check that ``candidate`` holds a fraction of points strictly above dim/D."""
-    points = check_points(data)
+    _, points, _ = _prepare(data)
     n, dim = points.shape
     if candidate.ambient_dim != dim:
         raise ValueError(
             f"candidate lives in dimension {candidate.ambient_dim}, data in {dim}"
         )
-    count = int(np.count_nonzero(subspace_members(points, candidate)))
+    count = int(np.count_nonzero(_members(points, candidate.basis)))
     return ConditionReport(
         holds=bool(count * dim > candidate.dim * n),
         method="exhaustive",

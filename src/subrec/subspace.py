@@ -21,14 +21,14 @@ __all__ = [
     "top_d_subspace",
     "recovery_error",
     "pca_subspace",
-    "distance_to_subspace",
     "subspace_members",
     "span_of_points",
 ]
 
 # Basis Gram deviation up to this is re-orthonormalized, beyond it rejected.
 ORTHONORMALITY_TOL = 1e-8
-# Eigenvalues closer than this across the cut make the subspace ambiguous.
+# Eigenvalues closer than this across the cut, relative to the largest
+# eigenvalue magnitude, make the subspace ambiguous.
 EIGENGAP_TOL = 1e-12
 # A point belongs to a subspace when its residual is below this, relative
 # to its norm.
@@ -98,17 +98,18 @@ def top_d_subspace(sigma, d):
     """Span of the top ``d`` eigenvectors of a symmetric matrix.
 
     Warns with :class:`AmbiguousSubspaceWarning` when the eigenvalues on
-    either side of the cut agree to within 1e-12, in which case the
-    returned span is an arbitrary resolution of a genuinely ambiguous
-    choice.
+    either side of the cut agree to within 1e-12 of the largest
+    eigenvalue magnitude, in which case the returned span is an
+    arbitrary resolution of a genuinely ambiguous choice.  The test is
+    relative, so it gives the same verdict for ``sigma`` at any scale.
     """
     vals, vecs = sym_eigendecompose(sigma)
     ambient = vals.shape[0]
     if not 1 <= d <= ambient:
         raise ValueError(f"need 1 <= d <= {ambient}, got d={d}")
-    if d < ambient and vals[d - 1] - vals[d] <= EIGENGAP_TOL:
+    if d < ambient and vals[d - 1] - vals[d] <= EIGENGAP_TOL * np.abs(vals).max():
         warnings.warn(
-            f"eigenvalues {d} and {d + 1} agree to within {EIGENGAP_TOL:g}; "
+            f"eigenvalues {d} and {d + 1} agree to within {EIGENGAP_TOL:g} of the largest; "
             "the top eigenspace is not well defined",
             AmbiguousSubspaceWarning,
             stacklevel=2,
@@ -150,17 +151,17 @@ def pca_subspace(data, d, center=False):
     return top_d_subspace(moment, d)
 
 
-def distance_to_subspace(x, subspace):
-    """Euclidean distance from the point ``x`` to the subspace."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (subspace.ambient_dim,):
-        raise ValueError(
-            f"expected a point of shape ({subspace.ambient_dim},), got {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point has non-finite entries")
-    coeffs = subspace.basis.T @ x
-    return float(np.linalg.norm(x - subspace.basis @ coeffs))
+def _rank(s):
+    """Numerical rank of one set of descending singular values, or of each
+    set in a stack: the count above ``RANK_RTOL`` times the largest."""
+    return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
+
+
+def _members(points, basis):
+    """Rows of prepared ``points`` whose residual off the span of ``basis`` is at
+    most ``MEMBERSHIP_RTOL`` times their norm; one mask per basis in a stack."""
+    residual = points - (points @ basis) @ np.swapaxes(basis, -1, -2)
+    return np.linalg.norm(residual, axis=-1) <= MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
 
 
 def subspace_members(points, subspace):
@@ -178,9 +179,7 @@ def subspace_members(points, subspace):
             f"points live in dimension {points.shape[1]}, "
             f"subspace in {subspace.ambient_dim}"
         )
-    residual = points - (points @ subspace.basis) @ subspace.basis.T
-    bound = MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
-    return np.linalg.norm(residual, axis=1) <= bound
+    return _members(points, subspace.basis)
 
 
 def span_of_points(points):
@@ -189,13 +188,14 @@ def span_of_points(points):
     Returns ``(rank, basis)`` where ``basis`` has shape
     ``(ambient_dim, rank)`` with orthonormal columns.  Rank counts the
     singular values above 1e-10 times the largest one; a rank of zero
-    (all rows numerically zero) returns an empty basis.
+    (all rows zero) returns an empty basis.  Zero rows are allowed;
+    non-finite entries raise ``ValueError``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
+    if not np.isfinite(points).all():
+        raise ValueError("points have non-finite entries")
     u, s, _ = np.linalg.svd(points.T, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, np.empty((points.shape[1], 0))
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    rank = int(_rank(s))
     return rank, u[:, :rank]

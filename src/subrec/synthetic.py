@@ -16,7 +16,7 @@ import numpy as np
 
 from .estimator import _prepare, check_points
 from .oracles import _subset_chunks, iter_subsets
-from .subspace import RANK_RTOL, Subspace, subspace_members
+from .subspace import Subspace, _rank, subspace_members
 
 __all__ = [
     "SyntheticModel",
@@ -176,6 +176,6 @@ def _all_subsets_full_rank(coords, rng):
         for chunk in _subset_chunks(subsets):
             for _, idx in chunk:
                 s = np.linalg.svd(coords[idx], compute_uv=False)
-                if np.any(np.count_nonzero(s > RANK_RTOL * s[:, :1], axis=1) < k):
+                if np.any(_rank(s) < k):
                     return False
     return True

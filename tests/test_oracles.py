@@ -245,12 +245,17 @@ def test_uniqueness_picks_the_earliest_of_two_rank_groups():
 
 
 def test_recovery_holds_for_collinear_majority():
-    report = recovery_condition(COLLINEAR, E1)
-    assert report.holds
-    assert report.fraction == 0.6
-    assert report.threshold == 0.5
-    assert report.member_count == 3
-    assert report.witness is E1
+    # the squared norms would underflow or overflow at the extreme scales
+    sets = [COLLINEAR * scale for scale in (1.0, *EXTREME_SCALES)]
+    # one row far below the unit rows still counts by its direction
+    sets.append(COLLINEAR * np.array([[1e-170], [1.0], [1.0], [1.0], [1.0]]))
+    for data in sets:
+        report = recovery_condition(data, E1)
+        assert report.holds
+        assert report.fraction == 0.6
+        assert report.threshold == 0.5
+        assert report.member_count == 3
+        assert report.witness is E1
 
 
 def test_recovery_fails_below_the_ratio():

@@ -11,7 +11,6 @@ from subrec.estimator import estimate
 from subrec.subspace import (
     AmbiguousSubspaceWarning,
     Subspace,
-    distance_to_subspace,
     pca_subspace,
     recovery_error,
     span_of_points,
@@ -92,8 +91,14 @@ def test_top_d_projector_roundtrip():
 
 
 def test_top_d_warns_on_tied_eigenvalues():
-    with pytest.warns(AmbiguousSubspaceWarning):
-        top_d_subspace(np.diag([0.5, 0.3, 0.3, 0.1]), 2)
+    tied = np.diag([0.5, 0.3, 0.3, 0.1])
+    for scale in (1.0, 1e-60):
+        with pytest.warns(AmbiguousSubspaceWarning):
+            top_d_subspace(tied * scale, 2)
+    # the gap is judged relative to the largest eigenvalue, not against 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AmbiguousSubspaceWarning)
+        top_d_subspace(np.diag([3.0, 2.0, 1.0]) * 1e-60, 1)
 
 
 def test_top_d_range_errors():
@@ -204,23 +209,6 @@ def test_pca_scales_nothing_at_ordinary_scales(scale, tiny_row):
     assert pca_subspace(data, 2).basis.tobytes() == top_d_subspace(moment, 2).basis.tobytes()
 
 
-# --------------------------------------------------------- distance_to_subspace
-
-
-def test_distance_examples():
-    assert distance_to_subspace(np.array([2.5, 0.0]), E1_R2) < 1e-12
-    assert abs(distance_to_subspace(np.array([0.0, 3.0]), E1_R2) - 3.0) < 1e-12
-    plane = Subspace(np.eye(3)[:, :2])
-    assert abs(distance_to_subspace(np.array([1.0, 1.0, 1.0]), plane) - 1.0) < 1e-12
-
-
-def test_distance_shape_errors():
-    with pytest.raises(ValueError, match="shape"):
-        distance_to_subspace(np.ones(3), E1_R2)
-    with pytest.raises(ValueError, match="non-finite"):
-        distance_to_subspace(np.array([np.nan, 1.0]), E1_R2)
-
-
 # ------------------------------------------------- members and spans of points
 
 
@@ -245,3 +233,6 @@ def test_span_of_points_ranks():
     assert rank == 2
     rank, basis = span_of_points(np.zeros((2, 3)))
     assert rank == 0 and basis.shape == (3, 0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            span_of_points(np.array([[bad, 1.0], [1.0, 0.0]]))

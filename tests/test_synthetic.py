@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subrec.estimator import fixed_point_step, objective
-from subrec.subspace import Subspace, distance_to_subspace, span_of_points
+from subrec.subspace import Subspace, span_of_points
 from subrec.synthetic import (
     SyntheticModel,
     general_position_check,
@@ -14,7 +14,7 @@ from subrec.synthetic import (
 
 
 def residuals(points, subspace):
-    return np.array([distance_to_subspace(x, subspace) for x in points])
+    return np.linalg.norm(points - points @ subspace.projector, axis=1)
 
 
 def test_pure_inliers_are_rank_d():
