@@ -61,8 +61,8 @@ def _parse_log_range(text):
         steps = int(parts[2])
     except ValueError:
         raise ValueError(f"bad log range {text!r}") from None
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got {text!r}")
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"need 0 < lo <= hi < inf, got {text!r}")
     if steps < 1:
         raise ValueError(f"need at least one step, got {steps}")
     # geomspace returns lo itself for a single step

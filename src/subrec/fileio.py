@@ -98,20 +98,24 @@ def write_truth_json(path, subspace):
 
 
 def read_truth_json(path):
-    """Read a subspace written by :func:`write_truth_json`."""
-    with open(path, "r", encoding="utf-8") as src:
-        payload = json.load(src)
+    """Read a subspace written by :func:`write_truth_json`.
+
+    Every ``ValueError`` from reading, decoding or shaping the file
+    starts with the path.
+    """
     try:
+        with open(path, "r", encoding="utf-8") as src:
+            payload = json.load(src)
         ambient = int(payload["D"])
         dim = int(payload["d"])
         flat = np.asarray(payload["basis"], dtype=float)
+        if flat.size != ambient * dim:
+            raise ValueError(f"basis has {flat.size} entries, expected {ambient * dim}")
+        return Subspace(flat.reshape(ambient, dim))
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: not a truth file ({err})") from None
-    if flat.size != ambient * dim:
-        raise ValueError(
-            f"{path}: basis has {flat.size} entries, expected {ambient * dim}"
-        )
-    return Subspace(flat.reshape(ambient, dim))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_rows_csv(path, header, rows):

@@ -131,12 +131,11 @@ def recovery_error(s1, s2):
     return float(np.linalg.norm(s1.projector - s2.projector))
 
 
-def pca_subspace(data, d, center=False):
-    """Top-``d`` eigenspace of the second-moment matrix of ``data``.
+def pca_subspace(data, d):
+    """Top-``d`` eigenspace of the raw second-moment matrix of ``data``.
 
-    With ``center=True`` the sample mean is removed first, making this
-    ordinary PCA; the default keeps raw second moments, which is what
-    the recovery experiments compare against.  Data whose largest entry
+    The sample mean is not removed: raw second moments are what the
+    recovery experiments compare against.  Data whose largest entry
     is beyond about 1e77 or below about 1e-77 is first scaled as a whole
     by a power of two, so the moment neither overflows nor underflows;
     the rows keep their relative sizes, on which PCA depends.
@@ -145,8 +144,6 @@ def pca_subspace(data, d, center=False):
     shift = 0 if top is None else _whole_array_shift(top)
     if shift:
         points = np.ldexp(points, -shift)
-    if center:
-        points = points - points.mean(axis=0)
     moment = points.T @ points / points.shape[0]
     return top_d_subspace(moment, d)
 

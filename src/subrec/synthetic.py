@@ -10,11 +10,10 @@ so a model reproduces its data set bit for bit on any platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .estimator import _prepare, check_points
+from .estimator import _prepare
 from .oracles import _subset_chunks, iter_subsets
 from .subspace import Subspace, _rank, subspace_members
 
@@ -74,23 +73,6 @@ class SyntheticModel:
         if not (np.isfinite(self.noise) and self.noise >= 0.0):
             raise ValueError(f"noise must be finite and nonnegative, got {self.noise}")
 
-    @cached_property
-    def truth(self):
-        """The inlier subspace this model generates around."""
-        return Subspace(_truth_basis(self, np.random.default_rng(self.seed)))
-
-
-def _truth_basis(model, rng):
-    """Draw (or fix) the inlier basis, consuming the rotation draw if any."""
-    if not model.rotate:
-        return np.eye(model.ambient_dim)[:, : model.subspace_dim]
-    square = rng.standard_normal((model.ambient_dim, model.ambient_dim))
-    q, r = np.linalg.qr(square)
-    # fix the sign convention so the rotation is a deterministic
-    # function of the gaussian draw
-    q = q * np.sign(np.diag(r))
-    return q[:, : model.subspace_dim]
-
 
 def generate(model):
     """Draw the data set described by ``model``.
@@ -98,7 +80,7 @@ def generate(model):
     Returns
     -------
     points : ndarray, shape (n_inliers + n_outliers, ambient_dim)
-        Inlier rows first, then outlier rows.
+        Inlier rows first, then outlier rows, filled into one array.
     truth : Subspace
         The inlier subspace.
 
@@ -110,17 +92,19 @@ def generate(model):
     given model is bit-reproducible.
     """
     rng = np.random.default_rng(model.seed)
-    basis = _truth_basis(model, rng)
-    blocks = []
-    if model.n_inliers:
-        coords = rng.standard_normal((model.n_inliers, model.subspace_dim))
-        blocks.append(coords @ basis.T)
-    if model.n_outliers:
-        blocks.append(rng.random((model.n_outliers, model.ambient_dim)))
-    points = np.vstack(blocks)
+    ambient, dim, n_in = model.ambient_dim, model.subspace_dim, model.n_inliers
+    basis = np.eye(ambient)[:, :dim]
+    if model.rotate:
+        q, r = np.linalg.qr(rng.standard_normal((ambient, ambient)))
+        # fix the sign convention so the rotation is a deterministic
+        # function of the gaussian draw
+        basis = (q * np.sign(np.diag(r)))[:, :dim]
+    points = np.empty((n_in + model.n_outliers, ambient))
+    np.matmul(rng.standard_normal((n_in, dim)), basis.T, out=points[:n_in])
+    rng.random(out=points[n_in:])
     if model.noise > 0.0:
-        points = points + model.noise * rng.standard_normal(points.shape)
-    return check_points(points), Subspace(basis)
+        points += model.noise * rng.standard_normal(points.shape)
+    return points, Subspace(basis)
 
 
 def spherical_projection(data):
@@ -151,22 +135,13 @@ def general_position_check(data, truth, seed=0):
     _, points, _ = _prepare(data)
     inside = subspace_members(points, truth)  # checks the dimensions
     member_coords = points[inside] @ truth.basis
-    complement = _complement_basis(truth)
+    complement = np.linalg.qr(truth.basis, mode="complete")[0][:, truth.dim :]
     rest_coords = points[~inside] @ complement
 
     rng = np.random.default_rng(seed)
     return _all_subsets_full_rank(member_coords, rng) and _all_subsets_full_rank(
         rest_coords, rng
     )
-
-
-def _complement_basis(subspace):
-    """Orthonormal basis of the orthogonal complement, possibly empty."""
-    ambient, dim = subspace.basis.shape
-    if dim == ambient:
-        return np.empty((ambient, 0))
-    full, _ = np.linalg.qr(subspace.basis, mode="complete")
-    return full[:, dim:]
 
 
 def _all_subsets_full_rank(coords, rng):

@@ -9,8 +9,10 @@ tests candidate subsets in stacked chunks and parses well-formed CSV
 bodies with numpy, so agreement between the two routes is evidence, not
 a tautology.  The majorization gap is also kept on its earlier wrapped
 path (``cho_solve``, ``np.mean``, validation and rescaling as separate
-passes), and the per-row scaling of the data on a loop over rows with
-``math.frexp``; the library must match both bit for bit.
+passes), the per-row scaling of the data on a loop over rows with
+``math.frexp``, and the synthetic generator on its earlier stacking
+path (separate inlier and outlier blocks joined by ``vstack``); the
+library must match all three bit for bit.
 """
 
 import math
@@ -218,3 +220,25 @@ def line_parsed_points_csv(path):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float)
+
+
+def stacked_generate(model):
+    """``generate`` on its earlier path: an inlier block and an outlier
+    block, stacked, noise added to a new array, the stack validated."""
+    rng = np.random.default_rng(model.seed)
+    if model.rotate:
+        square = rng.standard_normal((model.ambient_dim, model.ambient_dim))
+        q, r = np.linalg.qr(square)
+        basis = (q * np.sign(np.diag(r)))[:, : model.subspace_dim]
+    else:
+        basis = np.eye(model.ambient_dim)[:, : model.subspace_dim]
+    blocks = []
+    if model.n_inliers:
+        coords = rng.standard_normal((model.n_inliers, model.subspace_dim))
+        blocks.append(coords @ basis.T)
+    if model.n_outliers:
+        blocks.append(rng.random((model.n_outliers, model.ambient_dim)))
+    points = np.vstack(blocks)
+    if model.noise > 0.0:
+        points = points + model.noise * rng.standard_normal(points.shape)
+    return check_points(points), Subspace(basis)

@@ -145,9 +145,11 @@ def test_points_csv_blocks_write_format_float_bytes(tmp_path, dim):
 
 
 def test_truth_json_round_trip(tmp_path):
-    truth = SyntheticModel(
-        ambient_dim=5, subspace_dim=2, n_inliers=1, n_outliers=0, seed=1, rotate=True
-    ).truth
+    _, truth = generate(
+        SyntheticModel(
+            ambient_dim=5, subspace_dim=2, n_inliers=1, n_outliers=0, seed=1, rotate=True
+        )
+    )
     path = tmp_path / "truth.json"
     write_truth_json(path, truth)
     back = read_truth_json(path)
@@ -162,6 +164,17 @@ def test_truth_json_rejects_garbage(tmp_path):
     path.write_text('{"D": 3, "d": 2, "basis": [1.0, 0.0]}\n')
     with pytest.raises(ValueError, match="expected 6"):
         read_truth_json(path)
+    # every other malformed file names itself too
+    for text, message in [
+        ('{"D": "abc", "d": 1, "basis": [1.0]}\n', "invalid literal for int"),
+        ('{"D": -1, "d": -1, "basis": [1.0]}\n', "can only specify one unknown dimension"),
+        ("not json\n", "Expecting value"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_truth_json(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
 
 
 def test_rows_csv_blank_for_none(tmp_path):
@@ -474,6 +487,10 @@ def test_manifest_seeds_and_inputs(tmp_path, argv, seeds, inputs):
         (["noise", "--D", "4", "--d", "2", "--n-inliers", "12", "--n-outliers", "6",
           "--noise-range", "0.01:0.01:1", "--trials", "-3", "--out", "x.csv"],
          "trials must be at least 1, got -3"),
+        (["noise", "--D", "4", "--d", "2", "--n-inliers", "12", "--n-outliers", "6",
+          "--noise-range", "0.001:inf:3", "--out", "x.csv"], "0 < lo"),
+        (["noise", "--D", "4", "--d", "2", "--n-inliers", "12", "--n-outliers", "6",
+          "--noise-range", "0.001:1e400:3", "--out", "x.csv"], "0 < lo"),
     ],
 )
 def test_experiment_rejects_bad_ranges(tmp_path, capsys, argv_tail, message):

@@ -1,7 +1,10 @@
 """Generator determinism, the planted-subspace contract, position checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from reference import stacked_generate
 
 from subrec.estimator import fixed_point_step, objective
 from subrec.subspace import Subspace, span_of_points
@@ -65,12 +68,41 @@ def test_seed_determinism_is_bitwise():
     assert not np.array_equal(first, different)
 
 
-def test_truth_property_matches_generate():
-    model = SyntheticModel(
-        ambient_dim=5, subspace_dim=2, n_inliers=8, n_outliers=3, seed=4, rotate=True
-    )
-    _, truth = generate(model)
-    assert np.array_equal(model.truth.basis, truth.basis)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # (ambient_dim, subspace_dim, n_inliers, n_outliers, noise, rotate)
+        (10, 5, 120, 100, 0.0, False),
+        (6, 2, 15, 10, 0.01, True),
+        (5, 2, 8, 0, 0.0, True),
+        (4, 1, 0, 9, 1e-3, False),
+        (1, 1, 3, 2, 0.5, False),
+        (1, 1, 4, 0, 0.0, True),
+        (7, 7, 10, 5, 0.1, True),
+        (60, 20, 1500, 1500, 1e-2, True),
+    ],
+)
+def test_generate_matches_the_stacking_path(shape, seed):
+    ambient, dim, n_in, n_out, noise, rotate = shape
+    model = SyntheticModel(ambient, dim, n_in, n_out, noise=noise, seed=seed, rotate=rotate)
+    points, truth = generate(model)
+    ref_points, ref_truth = stacked_generate(model)
+    assert points.shape == ref_points.shape
+    assert points.tobytes() == ref_points.tobytes()
+    assert truth.basis.tobytes() == ref_truth.basis.tobytes()
+
+
+def test_generate_holds_one_copy_of_the_data():
+    model = SyntheticModel(50, 10, 2000, 2000, seed=5)
+    tracemalloc.start()
+    try:
+        points, _ = generate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (4000, 50)
+    assert peak < 1.5 * points.nbytes
 
 
 def test_rotated_subspace():
