@@ -3,8 +3,10 @@
 All text files are UTF-8 with LF line endings.  Floats are written with
 17 significant digits; every double but a signed or payload NaN (read as
 plain NaN) round-trips bit-exactly, so a rerun is byte-identical.  Points
-are written in row blocks with one format string and read by numpy's
-``loadtxt``, with a line parser as the fallback that names a bad line.
+are written in row blocks with one format string.  numpy's ``loadtxt``
+reads them from the open file after the header; a line parser, which names
+a bad line, reads a file with a blank body, a line numpy rejects, bytes
+that are not UTF-8, or a character in ``_ODD``, which numpy reads otherwise.
 """
 
 from __future__ import annotations
@@ -51,24 +53,50 @@ def write_points_csv(path, points):
             out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
+# Characters numpy reads otherwise than the line parser: line breaks only
+# str.splitlines sees (VT, FF, FS, GS, RS, NEL, LS, PS) and US, not space to float.
+_ODD = tuple(char.encode() for char in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")
+_SCAN_BYTES = 1 << 20  # bytes per read of the scan for them
+
+
+def _numpy_reads_alike(path):
+    """Whether the file holds none of the ``_ODD`` characters."""
+    with open(path, "rb") as raw:
+        window = b""
+        while chunk := raw.read(_SCAN_BYTES):
+            window = window[-2:] + chunk  # keeps a character split between reads
+            # an ASCII read can hold only the first six, the one-byte ones
+            if any(seq in window for seq in (_ODD[:6] if chunk.isascii() else _ODD)):
+                return False
+    return True
+
+
 def read_points_csv(path):
     """Read a points CSV back into an ``(N, D)`` float array.
 
-    The first line is the header; malformed data lines are rejected
-    with their line number.
+    The first line is the header; malformed data lines are rejected with
+    their line number, and every ``ValueError`` starts with the path.
     """
-    with open(path, "r", encoding="utf-8") as src:
-        lines = src.read().splitlines()
+    try:
+        if _numpy_reads_alike(path):
+            with open(path, "r", encoding="utf-8") as src:
+                width = len(src.readline().rstrip("\n").split(","))
+                start = src.tell()
+                if any(line.strip() for line in src):  # numpy warns on a blank body
+                    src.seek(start)
+                    points = np.loadtxt(src, delimiter=",", ndmin=2, comments=None)
+                    if points.shape[1] == width:
+                        return points
+    except ValueError:
+        pass  # the line parser below names the line, or the bytes that are not UTF-8
+    try:
+        with open(path, "r", encoding="utf-8") as src:
+            lines = src.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines:
         raise ValueError(f"{path}: empty file, expected a header line")
     width = len(lines[0].split(","))
-    if any(line.strip() for line in lines[1:]):  # numpy warns on a blank body
-        try:
-            points = np.loadtxt(lines, delimiter=",", skiprows=1, ndmin=2, comments=None)
-            if len(points) and points.shape[1] == width:
-                return points
-        except ValueError:
-            pass  # the line parser below names the line
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

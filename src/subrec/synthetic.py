@@ -87,9 +87,9 @@ def generate(model):
     Notes
     -----
     The stream order is fixed: rotation basis (if ``rotate``), inlier
-    gaussians, outlier uniforms, then one noise block for all points
-    when ``noise > 0``.  Tests and experiments rely on this order, so a
-    given model is bit-reproducible.
+    gaussians, outlier uniforms, then the noise for all points, row by
+    row, when ``noise > 0``.  Tests and experiments rely on this order,
+    so a given model is bit-reproducible.
     """
     rng = np.random.default_rng(model.seed)
     ambient, dim, n_in = model.ambient_dim, model.subspace_dim, model.n_inliers
@@ -102,8 +102,10 @@ def generate(model):
     points = np.empty((n_in + model.n_outliers, ambient))
     np.matmul(rng.standard_normal((n_in, dim)), basis.T, out=points[:n_in])
     rng.random(out=points[n_in:])
-    if model.noise > 0.0:
-        points += model.noise * rng.standard_normal(points.shape)
+    if model.noise > 0.0:  # 16 Ki values a block, not a second (N, D) array
+        rows = max(1, (1 << 14) // ambient)
+        for block in np.split(points, range(rows, len(points), rows)):
+            block += model.noise * rng.standard_normal(block.shape)
     return points, Subspace(basis)
 
 

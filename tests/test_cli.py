@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,13 @@ ODD_POINTS_CSV = {
     "form-feed": "x0,x1\n1,2\x0c3,4\n",
     "header-wider": "x0,x1,x2\n1,2\n3,4\n",
     "arabic-digit": "x0,x1\n\u0661,2\n",
+    # a line break only str.splitlines sees, beside a field
+    "group-separator": "x0,x1\n2.5\x1d,1\n",
+    "paragraph-separator": "x0,x1\nnan,\u2029-3\n",
+    "form-feed-in-field": "x0,x1\n2.5\x0c,1\n",
+    "next-line": "x0,x1\n1\x85,2\n",
+    # a space to numpy, not to float
+    "unit-separator": "x0,x1\n1\x1f,2\n",
 }
 
 
@@ -122,6 +130,40 @@ def test_points_csv_reads_like_the_line_parser(tmp_path, name):
     got = read_points_csv(path)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("scan_bytes", [2, 3, 5])
+def test_points_csv_finds_a_line_break_across_scan_reads(tmp_path, monkeypatch, scan_bytes):
+    monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+    path = tmp_path / "pts.csv"
+    for pad in range(2 * scan_bytes):
+        path.write_text("x0,x1\n1,2\n" + " " * pad + "3\u2028,4\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pts.csv:3: expected 2 columns, found 1"):
+            read_points_csv(path)
+
+
+def test_points_csv_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x0,x1\n1,2\n\xff,3\n")
+    with pytest.raises(ValueError) as raised:
+        read_points_csv(path)
+    assert str(raised.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    )
+
+
+def test_points_csv_read_holds_one_copy_of_the_data(tmp_path):
+    points = np.random.default_rng(81).standard_normal((20_000, 20))
+    path = tmp_path / "pts.csv"
+    write_points_csv(path, points)
+    tracemalloc.start()
+    try:
+        back = read_points_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == points.tobytes()
+    assert peak < 1.5 * points.nbytes
 
 
 @pytest.mark.parametrize("dim", [1, 3, 20, 200])

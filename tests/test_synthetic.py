@@ -81,6 +81,8 @@ def test_seed_determinism_is_bitwise():
         (1, 1, 4, 0, 0.0, True),
         (7, 7, 10, 5, 0.1, True),
         (60, 20, 1500, 1500, 1e-2, True),
+        # noise drawn in several row blocks, the last one short
+        (3, 2, 9000, 8000, 1e-3, True),
     ],
 )
 def test_generate_matches_the_stacking_path(shape, seed):
@@ -95,6 +97,18 @@ def test_generate_matches_the_stacking_path(shape, seed):
 
 def test_generate_holds_one_copy_of_the_data():
     model = SyntheticModel(50, 10, 2000, 2000, seed=5)
+    tracemalloc.start()
+    try:
+        points, _ = generate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (4000, 50)
+    assert peak < 1.5 * points.nbytes
+
+
+def test_generate_with_noise_holds_one_copy_of_the_data():
+    model = SyntheticModel(50, 10, 2000, 2000, noise=0.01, seed=5)
     tracemalloc.start()
     try:
         points, _ = generate(model)
