@@ -3,15 +3,16 @@
 All text files are UTF-8 with LF line endings.  Floats are written with
 17 significant digits; every double but a signed or payload NaN (read as
 plain NaN) round-trips bit-exactly, so a rerun is byte-identical.  Points
-are written in row blocks with one format string.  numpy's ``loadtxt``
-reads them from the open file after the header; a line parser, which names
-a bad line, reads a file with a blank body, a line numpy rejects, bytes
-that are not UTF-8, or a character in ``_ODD``, which numpy reads otherwise.
+are written in row blocks with one format string.  Both points parsers
+split lines as ``str.splitlines`` does and skip whitespace-only ones.  A
+line parser, which names a bad line, reads a file ``np.loadtxt`` rejects,
+or with a width unlike its header's, a blank body, US, or non-UTF-8 bytes.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -43,8 +44,10 @@ def _open_out(path):
 def write_points_csv(path, points):
     """Write row points with the header ``x0,...,x{D-1}``."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or 0 in points.shape:
+        raise ValueError(f"points must be a 2-d array with rows and columns, got {points.shape}")
     width = points.shape[1]
-    rows = max(1, _BLOCK_CELLS // max(width, 1))
+    rows = max(1, _BLOCK_CELLS // width)
     line = ",".join(["%.17g"] * width) + "\n"  # format_float's text, per value
     with _open_out(path) as out:
         out.write(",".join(f"x{i}" for i in range(width)) + "\n")
@@ -53,22 +56,15 @@ def write_points_csv(path, points):
             out.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-# Characters numpy reads otherwise than the line parser: line breaks only
-# str.splitlines sees (VT, FF, FS, GS, RS, NEL, LS, PS) and US, not space to float.
-_ODD = tuple(char.encode() for char in "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029")
-_SCAN_BYTES = 1 << 20  # bytes per read of the scan for them
+_BLOCK_CHARS = 1 << 16  # characters per read of a points file, then the rest of its line
 
 
-def _numpy_reads_alike(path):
-    """Whether the file holds none of the ``_ODD`` characters."""
-    with open(path, "rb") as raw:
-        window = b""
-        while chunk := raw.read(_SCAN_BYTES):
-            window = window[-2:] + chunk  # keeps a character split between reads
-            # an ASCII read can hold only the first six, the one-byte ones
-            if any(seq in window for seq in (_ODD[:6] if chunk.isascii() else _ODD)):
-                return False
-    return True
+def _split_lines(src):
+    """The lines of an open text file, split as ``str.splitlines`` splits its text."""
+    while block := src.read(_BLOCK_CHARS) + src.readline():
+        if "\x1f" in block:  # US: numpy strips it as a space, float rejects it
+            raise ValueError("unit separator")
+        yield from block.splitlines()
 
 
 def read_points_csv(path):
@@ -78,15 +74,15 @@ def read_points_csv(path):
     their line number, and every ``ValueError`` starts with the path.
     """
     try:
-        if _numpy_reads_alike(path):
-            with open(path, "r", encoding="utf-8") as src:
-                width = len(src.readline().rstrip("\n").split(","))
-                start = src.tell()
-                if any(line.strip() for line in src):  # numpy warns on a blank body
-                    src.seek(start)
-                    points = np.loadtxt(src, delimiter=",", ndmin=2, comments=None)
-                    if points.shape[1] == width:
-                        return points
+        with open(path, "r", encoding="utf-8") as src:
+            lines = _split_lines(src)
+            width = len(next(lines, "").split(","))
+            body = filter(str.strip, lines)
+            first = next(body, None)  # numpy warns on an empty body
+            if first is not None:
+                points = np.loadtxt(chain([first], body), delimiter=",", ndmin=2, comments=None)
+                if points.shape[1] == width:
+                    return points
     except ValueError:
         pass  # the line parser below names the line, or the bytes that are not UTF-8
     try:
@@ -134,15 +130,17 @@ def read_truth_json(path):
     try:
         with open(path, "r", encoding="utf-8") as src:
             payload = json.load(src)
-        ambient = int(payload["D"])
-        dim = int(payload["d"])
+        sizes = [payload["D"], payload["d"]]
+        if any(isinstance(size, bool) or int(size) != size for size in sizes):
+            raise ValueError(f"D and d must be integers, found {sizes}")
+        ambient, dim = map(int, sizes)
         flat = np.asarray(payload["basis"], dtype=float)
         if flat.size != ambient * dim:
             raise ValueError(f"basis has {flat.size} entries, expected {ambient * dim}")
         return Subspace(flat.reshape(ambient, dim))
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: not a truth file ({err})") from None
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ValueError(f"{path}: {err}") from None
 
 

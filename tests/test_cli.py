@@ -132,14 +132,85 @@ def test_points_csv_reads_like_the_line_parser(tmp_path, name):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("scan_bytes", [2, 3, 5])
-def test_points_csv_finds_a_line_break_across_scan_reads(tmp_path, monkeypatch, scan_bytes):
-    monkeypatch.setattr(fileio, "_SCAN_BYTES", scan_bytes)
+@pytest.mark.parametrize("block_chars", [2, 3, 5])
+def test_points_csv_finds_a_line_break_across_scan_reads(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
     path = tmp_path / "pts.csv"
-    for pad in range(2 * scan_bytes):
+    for pad in range(2 * block_chars):
         path.write_text("x0,x1\n1,2\n" + " " * pad + "3\u2028,4\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"pts.csv:3: expected 2 columns, found 1"):
             read_points_csv(path)
+
+
+# Pieces of random points files: cells, characters put inside a line (line
+# breaks only str.splitlines sees, US, NUL, CR, spaces float strips and numpy
+# may not), line ends, and lines that are blank or whitespace-only.
+FUZZ_CELLS = ["1", "-2.5", "3e-5", ".5", "+1.", "nan", "-inf", "1e400", "1_0", "\u0663", "\uff13"]
+FUZZ_BAD_CELLS = ["", "x", "0x1", "1 2"]
+FUZZ_CHARS = list("\x00\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\xa0\u3000\r\t _")
+FUZZ_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
+FUZZ_LINES = ["", " ", " \t", "\u3000", "\xa0"]
+FUZZ_HEADERS = ["", " ", "x0,,x2", "x0\x1c,x1", "x0\x1f", "\ufeffx0,x1"]
+
+
+def _fuzz_line(rng, width):
+    """One data line: ``width`` cells, a cell more or fewer, or a bad cell,
+    with a character from ``FUZZ_CHARS`` put in now and then."""
+    count = width + int(rng.choice([0] * 12 + [-1, 1]))
+    bad = rng.random() < 0.1
+    cells = [
+        str(rng.choice(FUZZ_BAD_CELLS if bad and i == 0 else FUZZ_CELLS))
+        for i in range(max(count, 1))
+    ]
+    line = ",".join(cells)
+    while rng.random() < 0.25:
+        at = int(rng.integers(len(line) + 1))
+        line = line[:at] + str(rng.choice(FUZZ_CHARS)) + line[at:]
+    return line
+
+
+def _fuzz_points_text(rng):
+    width = int(rng.integers(1, 4))
+    if rng.random() < 0.1:
+        header = str(rng.choice(FUZZ_HEADERS))
+    else:
+        header = ",".join(f"x{i}" for i in range(width))
+    lines = [header]
+    for _ in range(int(rng.integers(0, 6))):
+        blank = rng.random() < 0.2
+        lines.append(str(rng.choice(FUZZ_LINES)) if blank else _fuzz_line(rng, width))
+    ends = [str(rng.choice(FUZZ_ENDS)) for _ in lines]
+    if rng.random() < 0.2:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _read_or_message(reader, path):
+    try:
+        return reader(path)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_points_csv_reads_random_files_like_the_line_parser(tmp_path, monkeypatch):
+    rng = np.random.default_rng(82)
+    path = tmp_path / "pts.csv"
+    outcomes = set()
+    default = fileio._BLOCK_CHARS
+    for _ in range(2_000):
+        path.write_bytes(_fuzz_points_text(rng).encode("utf-8"))
+        expected = _read_or_message(line_parsed_points_csv, path)
+        outcomes.add(type(expected))
+        for block_chars in (default, 1, 3):
+            monkeypatch.setattr(fileio, "_BLOCK_CHARS", block_chars)
+            got = _read_or_message(read_points_csv, path)
+            if isinstance(expected, str):
+                assert got == expected
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+    assert outcomes == {str, np.ndarray}
 
 
 def test_points_csv_names_a_file_that_is_not_utf8(tmp_path):
@@ -156,14 +227,19 @@ def test_points_csv_read_holds_one_copy_of_the_data(tmp_path):
     points = np.random.default_rng(81).standard_normal((20_000, 20))
     path = tmp_path / "pts.csv"
     write_points_csv(path, points)
-    tracemalloc.start()
-    try:
-        back = read_points_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert back.tobytes() == points.tobytes()
-    assert peak < 1.5 * points.nbytes
+    text = path.read_text()
+    middle = text.index("\n", len(text) // 2) + 1
+    spaced = tmp_path / "spaced.csv"  # a whitespace-only line in the body
+    spaced.write_text(text[:middle] + " \t\n" + text[middle:])
+    for source in (path, spaced):
+        tracemalloc.start()
+        try:
+            back = read_points_csv(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.tobytes() == points.tobytes()
+        assert peak < 1.5 * points.nbytes, source.name
 
 
 @pytest.mark.parametrize("dim", [1, 3, 20, 200])
@@ -184,6 +260,17 @@ def test_points_csv_blocks_write_format_float_bytes(tmp_path, dim):
         assert path.read_bytes() == (header + "".join(lines[:n])).encode()
         back = read_points_csv(path)
         assert back.tobytes() == points[:n].tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (3,), (2, 2, 2), (3, 0), (0, 3)],
+    ids=["0-d", "1-d", "3-d", "no-columns", "no-rows"],
+)
+def test_points_csv_writer_refuses_what_it_cannot_read_back(tmp_path, shape):
+    path = tmp_path / "pts.csv"
+    with pytest.raises(ValueError, match="2-d array with rows and columns"):
+        write_points_csv(path, np.zeros(shape))
+    assert not path.exists()
 
 
 def test_truth_json_round_trip(tmp_path):
@@ -209,6 +296,10 @@ def test_truth_json_rejects_garbage(tmp_path):
     # every other malformed file names itself too
     for text, message in [
         ('{"D": "abc", "d": 1, "basis": [1.0]}\n', "invalid literal for int"),
+        ('{"D": 2.9, "d": 1, "basis": [1.0, 0.0]}\n', "D and d must be integers"),
+        ('{"D": 1, "d": true, "basis": [1.0]}\n', "D and d must be integers"),
+        ('{"D": "2", "d": 1, "basis": [1.0, 0.0]}\n', "D and d must be integers"),
+        ('{"D": Infinity, "d": 1, "basis": [1.0]}\n', "cannot convert float infinity"),
         ('{"D": -1, "d": -1, "basis": [1.0]}\n', "can only specify one unknown dimension"),
         ("not json\n", "Expecting value"),
     ]:
