@@ -2,16 +2,15 @@
 
 Covariance-like matrices do not form a vector space: the midpoint of
 two of them in the straight-line sense can be badly conditioned, and
-the Frobenius distance ignores how inversion warps scale.  The library
-works with the affine-invariant metric instead, where the natural path
+straight lines ignore how inversion warps scale.  The library works
+with the affine-invariant metric instead, where the natural path
 between matrices is a geodesic and the midpoint is the matrix geometric
-mean.  This script walks through the claims that make that metric the
-right one here.
+mean.  This script walks through the identities that path satisfies.
 """
 
 import numpy as np
 
-from subrec.geometry import geodesic, geometric_mean, spd_distance, spd_sqrt
+from subrec.geometry import geodesic, geometric_mean
 
 rng = np.random.default_rng(42)
 
@@ -27,42 +26,28 @@ def main():
     a = random_spd(4)
     b = random_spd(4)
 
-    print("=== distance ===")
-    print("dist(A, A)        :", spd_distance(a, a))
-    print("dist(A, B)        :", spd_distance(a, b))
-    print("dist(B, A)        :", spd_distance(b, a))
-    # congruence A -> M A M' is an isometry, the metric's signature move
-    m = rng.standard_normal((4, 4))
-    print(
-        "after congruence  :",
-        spd_distance(m @ a @ m.T, m @ b @ m.T),
-        "(unchanged)",
-    )
-    # rescaling one argument only shifts it by |log c| * sqrt(D)
-    c = 7.3
-    print("dist(A, cA)       :", spd_distance(a, c * a))
-    print("|log c| sqrt(D)   :", abs(np.log(c)) * 2.0)
-
-    print()
     print("=== geodesic ===")
     print("gamma(0) == A     :", np.linalg.norm(geodesic(a, b, 0.0) - a))
     print("gamma(1) == B     :", np.linalg.norm(geodesic(a, b, 1.0) - b))
-    quarter = spd_distance(a, geodesic(a, b, 0.25))
-    print("dist to gamma(1/4):", quarter, "= quarter of", spd_distance(a, b))
+    # a geodesic's own midpoint halves it again: gamma(1/4) lies halfway
+    # from A to gamma(1/2)
+    half = geodesic(a, b, 0.5)
+    print(
+        "gamma(1/4) vs half of gamma(1/2):",
+        np.linalg.norm(geodesic(a, b, 0.25) - geodesic(a, half, 0.5)),
+    )
 
     print()
     print("=== geometric mean ===")
     mean = geometric_mean(a, b)
-    print("midpoint == mean  :", np.linalg.norm(geodesic(a, b, 0.5) - mean))
+    print("midpoint == mean  :", np.linalg.norm(half - mean))
     det_lhs = np.linalg.det(mean) ** 2
     det_rhs = np.linalg.det(a) * np.linalg.det(b)
     print("det(mean)^2       :", det_lhs)
     print("det(A) det(B)     :", det_rhs)
     # the mean of a matrix and the identity is its square root
-    print(
-        "mean(A, I) vs sqrt:",
-        np.linalg.norm(geometric_mean(a, np.eye(4)) - spd_sqrt(a)),
-    )
+    root = geometric_mean(a, np.eye(4))
+    print("mean(A, I)^2 vs A :", np.linalg.norm(root @ root - a))
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ from .geometry import (
     ensure_symmetric,
     geodesic,
     geometric_mean,
-    spd_distance,
-    spd_sqrt,
     sym_eigendecompose,
 )
 from .oracles import (
@@ -89,8 +87,6 @@ __all__ = [
     "recovery_condition",
     "recovery_error",
     "recovery_trial",
-    "spd_distance",
-    "spd_sqrt",
     "spherical_projection",
     "span_of_points",
     "subspace_members",

@@ -271,7 +271,7 @@ def main(argv=None):
         outputs = _claim_outputs(args)
         args._run(args)
         _write_manifest(args, argv, outputs, started)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, Warning) as err:  # a warning raised as an error (-W error)
         print(f"subrec: {err}", file=sys.stderr)
         return 1
     return 0

@@ -1,10 +1,10 @@
 """Affine-invariant geometry on symmetric positive definite matrices.
 
 All operations work on plain ``(D, D)`` numpy arrays.  Matrix functions
-(square root, fractional powers, logarithm) are evaluated through a
-symmetric eigendecomposition: eigensolve, transform the eigenvalues,
-recompose.  Inputs are symmetrized on entry when the asymmetry is small
-numerical drift and rejected otherwise.
+(square root, fractional powers) are evaluated through a symmetric
+eigendecomposition: eigensolve, transform the eigenvalues, recompose.
+Inputs are symmetrized on entry when the asymmetry is small numerical
+drift and rejected otherwise.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "NotSPDError",
     "ensure_symmetric",
     "sym_eigendecompose",
-    "spd_sqrt",
-    "spd_distance",
     "geodesic",
     "geometric_mean",
 ]
@@ -118,59 +115,6 @@ def _recompose(vals, vecs):
     return (out + out.T) / 2.0
 
 
-def spd_sqrt(mat):
-    """Principal matrix square root of an SPD matrix.
-
-    Parameters
-    ----------
-    mat : ndarray, shape (D, D)
-        Numerically positive definite matrix.
-
-    Returns
-    -------
-    ndarray, shape (D, D)
-        The SPD matrix ``R`` with ``R @ R == mat``.
-    """
-    vals, vecs = _spd_eigendecompose(mat, "spd_sqrt")
-    return _recompose(np.sqrt(vals), vecs)
-
-
-def _spd_power(mat, t):
-    """Fractional power ``mat ** t`` of an SPD matrix."""
-    vals, vecs = _spd_eigendecompose(mat, "spd_power")
-    return _recompose(vals**t, vecs)
-
-
-def spd_distance(s1, s2):
-    """Affine-invariant distance between two SPD matrices.
-
-    Computed as the Frobenius norm of the matrix logarithm of the
-    whitened matrix, i.e. the root sum of squared logs of the
-    generalized eigenvalues of ``(s2, s1)``.
-
-    Parameters
-    ----------
-    s1, s2 : ndarray, shape (D, D)
-        Numerically positive definite matrices of equal shape.
-
-    Returns
-    -------
-    float
-        The distance.  Zero exactly when ``s1 == s2``; invariant under
-        congruence ``s -> a @ s @ a.T`` by any invertible ``a``.
-    """
-    s1 = ensure_symmetric(s1)
-    s2 = ensure_symmetric(s2)
-    if s1.shape != s2.shape:
-        raise ValueError(f"shape mismatch: {s1.shape} vs {s2.shape}")
-    _spd_eigendecompose(s1, "spd_distance")
-    _spd_eigendecompose(s2, "spd_distance")
-    w = scipy.linalg.eigvalsh(s2, s1)
-    if np.any(w <= 0.0):
-        raise NotSPDError("spd_distance: generalized eigenvalues not positive")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
-
-
 def geodesic(s1, s2, t):
     """Point on the affine-invariant geodesic from ``s1`` to ``s2``.
 
@@ -201,7 +145,8 @@ def geodesic(s1, s2, t):
     inv_root = _recompose(1.0 / np.sqrt(vals), vecs)
     middle = inv_root @ s2 @ inv_root
     middle = (middle + middle.T) / 2.0
-    powered = _spd_power(middle, t)
+    vals, vecs = _spd_eigendecompose(middle, "geodesic")
+    powered = _recompose(vals**t, vecs)
     out = root @ powered @ root
     return (out + out.T) / 2.0
 

@@ -1,28 +1,22 @@
 """Independent reference routes the tests cross-check the library against.
 
 Everything here takes the textbook path on purpose: explicit inverses
-of the full matrix, scipy's general-purpose matrix functions, per-point
-and per-subset Python loops, forward substitution in extended precision
-and a line-by-line CSV parser.  The library inverts only the triangular
-Cholesky factor, never the full matrix, never calls ``sqrtm``/``logm``,
-tests candidate subsets in stacked chunks and parses well-formed CSV
-bodies with numpy, so agreement between the two routes is evidence, not
-a tautology.  The majorization gap is also kept on its earlier wrapped
-path (``cho_solve``, ``np.mean``, validation and rescaling as separate
-passes), the per-row scaling of the data on a loop over rows with
-``math.frexp``, and the synthetic generator on its earlier stacking
-path (separate inlier and outlier blocks joined by ``vstack``); the
-library must match all three bit for bit.
+of the full matrix, per-point and per-subset Python loops, forward
+substitution in extended precision and a line-by-line CSV parser.  The
+library inverts only the triangular Cholesky factor, never the full
+matrix, tests candidate subsets in stacked chunks and parses well-formed
+CSV bodies with numpy, so agreement between the two routes is evidence,
+not a tautology.  The per-row scaling of the data is also kept on a loop
+over rows with ``math.frexp``, and the synthetic generator on its
+earlier stacking path (separate inlier and outlier blocks joined by
+``vstack``); the library must match both bit for bit.
 """
 
 import math
-import warnings
 
 import numpy as np
-import scipy.linalg
 
-from subrec.estimator import _SAFE_EXPONENT, _factor, _log_det, _singular, check_points
-from subrec.geometry import NotSPDError
+from subrec.estimator import _SAFE_EXPONENT, check_points
 from subrec.oracles import ConditionReport, iter_subsets
 from subrec.subspace import Subspace, span_of_points, subspace_members
 
@@ -91,22 +85,6 @@ def inv_estimate(points, tol=1e-8, max_iter=5000):
     return sigma
 
 
-def funm_distance(s1, s2):
-    """Affine-invariant distance via scipy's dense matrix functions."""
-    root_inv = np.linalg.inv(scipy.linalg.sqrtm(s1))
-    middle = root_inv @ s2 @ root_inv
-    with warnings.catch_warnings():
-        # logm self-reports rounding-level inaccuracy; the comparisons
-        # using this route all carry their own tolerance
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return float(np.linalg.norm(scipy.linalg.logm(middle)))
-
-
-def funm_sqrt(mat):
-    """Matrix square root via scipy's Schur-based routine."""
-    return np.real_if_close(scipy.linalg.sqrtm(mat))
-
-
 def pointwise_gap(sigma, anchor, points):
     """Majorization gap as the mean of u - log(u) - 1 over the points.
 
@@ -116,29 +94,6 @@ def pointwise_gap(sigma, anchor, points):
     """
     u = inv_quadratic_forms(sigma, points) / inv_quadratic_forms(anchor, points)
     return float(np.mean(u - np.log(u) - 1.0))
-
-
-def wrapped_gap(sigma, anchor, data):
-    """``majorization_gap`` through ``check_points``, a separate rescaling
-    pass, ``scipy.linalg.cho_solve`` and ``np.mean``."""
-    points = check_points(data)
-    exponent = math.frexp(max(points.max(), -points.min()))[1]
-    if abs(exponent) > _SAFE_EXPONENT:
-        points = np.ldexp(points, -exponent)
-    n, dim = points.shape
-    _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
-    if _singular(q_anchor):
-        raise ValueError("majorization_gap: anchor is numerically singular on this data")
-    moment = (points / q_anchor[:, None]).T @ points / n
-    moment = (moment + moment.T) / 2.0
-    lower, q, _ = _factor(sigma, points, "majorization_gap")
-    if _singular(q):
-        raise NotSPDError("majorization_gap: sigma is numerically singular on this data")
-    log_det = _log_det(lower)
-    cost = float(math.fsum(np.log(q)) / n + log_det / dim)
-    inner = float(np.trace(scipy.linalg.cho_solve((lower, True), moment)))
-    constant = float(np.mean(np.log(q_anchor))) - 1.0
-    return float(inner + log_det / dim + constant - cost)
 
 
 def per_row_prepared(points):

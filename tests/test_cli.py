@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from subrec.fileio import (
     write_rows_csv,
     write_truth_json,
 )
-from subrec.subspace import Subspace
+from subrec.subspace import AmbiguousSubspaceWarning, Subspace
 from subrec.synthetic import SyntheticModel, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -494,6 +495,27 @@ def test_estimate_failures_exit_nonzero(tmp_path, capsys, breakage, message):
     err = capsys.readouterr().err
     assert err.startswith("subrec: ")
     assert message in err
+    assert not (tmp_path / "result.json").exists()
+
+
+def test_estimate_warning_raised_as_error_exits_nonzero(tmp_path, capsys):
+    # a rank-3 set in R^10 stops at I/D, whose equal eigenvalues leave the
+    # top eigenspace ambiguous: a warning by default, under -W error a
+    # one-line message and exit status 1, not a traceback
+    points, _ = generate(SyntheticModel(10, 3, 50, 0, seed=0))
+    write_inputs(tmp_path, points)
+    argv = ["estimate", "--in", str(tmp_path / "in.csv"), "--d", "3",
+            "--out", str(tmp_path / "result.json")]
+    with pytest.warns(AmbiguousSubspaceWarning):
+        assert main(argv) == 0
+    (tmp_path / "result.json").unlink()
+    (tmp_path / "result.json.manifest.json").unlink()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("subrec: eigenvalues 3 and 4 agree")
+    assert err.count("\n") == 1
     assert not (tmp_path / "result.json").exists()
 
 

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from reference import funm_distance, funm_sqrt, random_spd
+from reference import random_spd
 from subrec.geometry import (
     NotSPDError,
     ensure_symmetric,
     geodesic,
     geometric_mean,
-    spd_distance,
-    spd_sqrt,
     sym_eigendecompose,
 )
 
@@ -99,81 +97,12 @@ def test_eigendecompose_random_roundtrip():
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(dim), atol=1e-12)
 
 
-def test_spd_sqrt_examples():
-    np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-    np.testing.assert_allclose(spd_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]])), SQRT_2112, atol=1e-14)
-    np.testing.assert_allclose(spd_sqrt(np.eye(3)), np.eye(3), atol=1e-15)
-
-
-def test_spd_sqrt_squares_back():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        mat = random_spd(rng, int(rng.integers(2, 6)))
-        root = spd_sqrt(mat)
-        assert np.array_equal(root, root.T)
-        assert np.linalg.norm(root @ root - mat) <= 1e-10 * np.linalg.norm(mat)
-        np.testing.assert_allclose(root, funm_sqrt(mat), atol=1e-10)
-
-
-def test_spd_sqrt_rejects_non_spd():
-    with pytest.raises(NotSPDError):
-        spd_sqrt(np.diag([1.0, -1.0]))
-    with pytest.raises(NotSPDError):
-        spd_sqrt(np.diag([1.0, 1e-20]))
-
-
-def test_distance_examples():
-    s = random_spd(np.random.default_rng(1), 3)
-    assert spd_distance(s, s) < 1e-10
-    got = spd_distance(np.eye(2), np.diag([math.exp(2.0), math.exp(-2.0)]))
-    assert abs(got - 2.0 * math.sqrt(2.0)) < 1e-12
-
-
-def test_distance_symmetry_and_dual_route():
-    rng = np.random.default_rng(2)
-    for _ in range(15):
-        s1 = random_spd(rng, 4)
-        s2 = random_spd(rng, 4)
-        d12 = spd_distance(s1, s2)
-        assert abs(d12 - spd_distance(s2, s1)) < 1e-10
-        assert abs(d12 - funm_distance(s1, s2)) < 1e-10
-
-
-def test_distance_congruence_invariance():
-    """dist(A S1 A', A S2 A') == dist(S1, S2) for invertible A."""
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        s1 = random_spd(rng, 4)
-        s2 = random_spd(rng, 4)
-        a = rng.standard_normal((4, 4))
-        base = spd_distance(s1, s2)
-        moved = spd_distance(a @ s1 @ a.T, a @ s2 @ a.T)
-        assert abs(base - moved) < 1e-8
-
-
-def test_distance_triangle_inequality():
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        dim = int(rng.integers(2, 6))
-        s1, s2, s3 = (random_spd(rng, dim) for _ in range(3))
-        assert spd_distance(s1, s3) <= spd_distance(s1, s2) + spd_distance(s2, s3) + 1e-8
-
-
-def test_distance_errors():
-    with pytest.raises(ValueError, match="mismatch"):
-        spd_distance(np.eye(2), np.eye(3))
-    with pytest.raises(NotSPDError):
-        spd_distance(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(NotSPDError):
-        spd_distance(np.eye(2), np.diag([1.0, 0.0]))
-
-
 def test_geodesic_examples():
     np.testing.assert_allclose(
         geodesic(np.eye(2), np.diag([4.0, 1.0]), 0.5), np.diag([2.0, 1.0]), atol=1e-12
     )
     two_one = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(geodesic(two_one, np.eye(2), 0.5), spd_sqrt(two_one), atol=1e-12)
+    np.testing.assert_allclose(geodesic(two_one, np.eye(2), 0.5), SQRT_2112, atol=1e-12)
 
 
 def test_geodesic_endpoints_and_spdness():
@@ -196,6 +125,14 @@ def test_geodesic_commuting_diagonal_is_elementwise_power():
     for t in (0.25, 0.5, 0.75):
         expected = np.diag(np.diag(d1) ** (1 - t) * np.diag(d2) ** t)
         np.testing.assert_allclose(geodesic(d1, d2, t), expected, atol=1e-12)
+
+
+def test_geodesic_rejects_non_spd():
+    for bad in (np.diag([1.0, -1.0]), np.diag([1.0, 1e-20])):
+        with pytest.raises(NotSPDError, match="^geodesic: "):
+            geodesic(bad, np.eye(2), 0.5)
+        with pytest.raises(NotSPDError, match="^geodesic: "):
+            geometric_mean(np.eye(2), bad)
 
 
 def test_geodesic_rejects_bad_parameter():

@@ -1,5 +1,7 @@
 """Certificate checks: subset enumeration, both conditions, the descent gap."""
 
+import warnings
+
 import numpy as np
 import pytest
 from reference import (
@@ -8,7 +10,6 @@ from reference import (
     random_spd,
     subset_loop_uniqueness,
     subset_loop_violations,
-    wrapped_gap,
 )
 
 from subrec.estimator import fixed_point_step, objective, quadratic_forms
@@ -314,7 +315,20 @@ def test_gap_is_nonnegative():
         sigma = random_spd(rng, dim)
         anchor = random_spd(rng, dim)
         data = random_points(rng, 4 * dim, dim)
-        assert majorization_gap(sigma, anchor, data) >= -1e-10
+        assert majorization_gap(sigma, anchor, data) >= -1e-30
+    # pairs near an iterate, where a difference of two O(1) costs would
+    # cancel to rounding noise of either sign; every per-point term is
+    # nonnegative, and -1e-30 leaves room for one rounding of log near 1
+    for _ in range(25):
+        for dim in range(2, 6):
+            data = random_points(rng, 4 * dim, dim)
+            anchor = np.eye(dim) / dim
+            for _ in range(3):
+                anchor = fixed_point_step(anchor, data)
+            for eps in (1e-6, 1e-8, 1e-10):
+                p = rng.standard_normal((dim, dim))
+                sigma = anchor + eps * (p + p.T) * anchor.diagonal().min()
+                assert majorization_gap(sigma, anchor, data) >= -1e-30
 
 
 def test_gap_matches_pointwise_route():
@@ -363,17 +377,18 @@ def test_gap_bounds_the_descent_of_one_update():
 
 
 @pytest.mark.parametrize("dim, n", [(2, 5), (3, 11), (4, 13), (4, 90), (5, 12), (8, 40)])
-def test_gap_matches_the_wrapped_path_bit_for_bit(dim, n):
-    # the direct LAPACK solve and add.reduce / n give cho_solve's and
-    # np.mean's bits, at unit and at extreme data scales
+def test_gap_repeats_bit_for_bit_at_power_of_two_scales(dim, n):
+    # data times 2**600 or 2**-600 takes the whole-array shift, which
+    # scales both forms of every point by one exact power of four and
+    # leaves every ratio, and so the gap, unchanged in every bit
     rng = np.random.default_rng(700 + dim * n)
     data = random_points(rng, n, dim)
     anchor = np.eye(dim) / dim
     pairs = [(fixed_point_step(anchor, data), anchor), (random_spd(rng, dim), random_spd(rng, dim))]
     for sigma, anchor in pairs + [(anchor, pairs[0][0])]:
-        for scale in (1.0, 1e-200, 1e200):
-            expected = wrapped_gap(sigma, anchor, data * scale)
-            assert majorization_gap(sigma, anchor, data * scale) == expected
+        expected = majorization_gap(sigma, anchor, data)
+        for k in (600, -600):
+            assert majorization_gap(sigma, anchor, data * 2.0**k) == expected
 
 
 def test_gap_rejects_singular_anchor():
@@ -383,13 +398,16 @@ def test_gap_rejects_singular_anchor():
         majorization_gap(np.eye(2) / 2, anchor, data)
 
 
-def test_gap_rejects_a_moment_that_overflows():
+def test_gap_rejects_a_mean_that_overflows():
     # an anchor near the largest double makes three forms about 1e-154,
-    # and the weighted moment overflows: rejected, not solved with
+    # three ratios about 8e307 and their sum overflows: rejected, and
+    # without a warning
     anchor = np.diag([8e307, 1.0])
     data = [[1e77, 0.0], [1e77, 0.0], [1e77, 0.0], [0.0, 1.0]]
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="moment is not finite"):
-        majorization_gap(np.eye(2), anchor, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gap is not finite"):
+            majorization_gap(np.eye(2), anchor, data)
 
 
 def test_gap_propagates_bad_sigma():
