@@ -105,6 +105,16 @@ def test_geodesic_examples():
     np.testing.assert_allclose(geodesic(two_one, np.eye(2), 0.5), SQRT_2112, atol=1e-12)
 
 
+def test_spd_sqrt_examples():
+    # the square root of a is the midpoint of the geodesic from I to a
+    def sqrt(a):
+        return geodesic(np.eye(len(a)), a, 0.5)
+
+    np.testing.assert_allclose(sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+    np.testing.assert_allclose(sqrt(np.array([[2.0, 1.0], [1.0, 2.0]])), SQRT_2112, atol=1e-14)
+    np.testing.assert_allclose(sqrt(np.eye(3)), np.eye(3), atol=1e-15)
+
+
 def test_geodesic_endpoints_and_spdness():
     rng = np.random.default_rng(5)
     s1 = random_spd(rng, 4)
