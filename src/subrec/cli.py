@@ -119,6 +119,11 @@ def cmd_synth(args):
 def cmd_estimate(args):
     points = read_points_csv(args.infile)
     truth = read_truth_json(args.truth) if args.truth else None
+    dim = points.shape[1]  # top_d_subspace's and recovery_error's checks, before the solve
+    if not 1 <= args.d <= dim:
+        raise ValueError(f"need 1 <= d <= {dim}, got d={args.d}")
+    if truth is not None and truth.ambient_dim != dim:
+        raise ValueError(f"ambient dimensions differ: {dim} vs {truth.ambient_dim}")
     config = EstimatorConfig(tol=args.tol, max_iter=args.max_iter)
     rows = []
 
@@ -135,7 +140,7 @@ def cmd_estimate(args):
         result.trace[-1].objective if result.trace else objective(result.sigma, points)
     )
     payload = {
-        "D": int(points.shape[1]),
+        "D": dim,
         "d": int(args.d),
         "sigma": [float(v) for v in result.sigma.ravel(order="C")],
         "basis": [float(v) for v in found.basis.ravel(order="C")],

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.linalg.blas import get_blas_funcs
+import scipy
 
 from .geometry import SPD_RTOL, NotSPDError, ensure_symmetric
 
@@ -65,16 +67,31 @@ _HIGH_NORM = 2.0 ** (2 * _SAFE_EXPONENT)
 # column of a block as it does in one call over all rows (4096 does not).
 _BLOCK = 1536
 
+
+def _linalg_extension(name):
+    """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file."""
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.linalg.{name}")
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # Every dense BLAS/LAPACK call of the solver goes to SciPy's library.  The
 # numpy and scipy wheels each bundle their own OpenBLAS, each with its own
 # worker pool; after a call, a pool's workers spin for a while, so
 # alternating between the two libraries makes each call compete with the
 # other pool's idle workers (about a third of an iteration at D=200).  Per-step
 # calls pass arguments positionally: keywords cost the wrappers 0.3-1 us each.
-_TRMM, _SYRK, _GEMV, _DOT = get_blas_funcs(("trmm", "syrk", "gemv", "dot"), dtype=np.float64)
-_POTRF = lapack.dpotrf
-_TRTRI = lapack.dtrtri
-_SYEV = lapack.dsyev
+# The two compiled modules load without the Python layer of scipy.linalg
+# (about 0.3 s of start-up; the top-level import also finds the DLLs on
+# Windows); a later ``import scipy.linalg`` hands out these same functions.
+_fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
+_TRMM, _SYRK, _GEMV, _DOT = _fblas.dtrmm, _fblas.dsyrk, _fblas.dgemv, _fblas.ddot
+_POTRF, _TRTRI, _SYEV = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyev
 
 
 class Termination(str, Enum):

@@ -9,8 +9,6 @@ count never changes the numbers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .estimator import DEFAULT_MAX_ITER, DEFAULT_TOL, EstimatorConfig, estimate
@@ -74,6 +72,9 @@ def _sweep(field, values, trials, seed, threads, **fixed):
         if threads <= 1:
             errors = [trial(i) for i in range(trials)]
         else:
+            # imported here: the CLI never passes threads, and it costs ~15 ms
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 errors = list(pool.map(trial, range(trials)))
         rows.append((value, float(np.mean(errors)), float(np.std(errors))))

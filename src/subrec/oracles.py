@@ -39,8 +39,8 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 100_000
 # Sample count for the randomized fallback on larger instances.
 RANDOM_SUBSETS = 10_000
-# Candidate subsets are drawn and tested this many at a time; the residual
-# temporaries of one chunk hold _CHUNK * N * D floats.
+# Candidate subsets are drawn and tested this many at a time; the membership
+# scratch of a uniqueness check holds 2 * _CHUNK * N * D floats.
 _CHUNK = 256
 
 
@@ -136,6 +136,8 @@ def uniqueness_condition(data, seed=0):
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
     )
+    # one for every chunk: the temporaries of _members at rank r <= D - 1
+    scratch = np.empty(_CHUNK * n * 2 * dim)
     for chunk in _subset_chunks(subsets):
         found = []
         for order, idx in chunk:
@@ -145,7 +147,7 @@ def uniqueness_condition(data, seed=0):
             for rank in np.unique(ranks[ranks > 0]):
                 hit = np.flatnonzero(ranks == rank)
                 basis = u[hit, :, :rank]
-                counts = np.count_nonzero(_members(points, basis), axis=1)
+                counts = np.count_nonzero(_members(points, basis, scratch), axis=1)
                 # violation when count/n >= rank/dim
                 bad = np.flatnonzero(counts * dim >= rank * n)
                 if bad.size:

@@ -154,11 +154,26 @@ def _rank(s):
     return np.count_nonzero(s > RANK_RTOL * s[..., :1], axis=-1)
 
 
-def _members(points, basis):
+def _members(points, basis, scratch=None):
     """Rows of prepared ``points`` whose residual off the span of ``basis`` is at
-    most ``MEMBERSHIP_RTOL`` times their norm; one mask per basis in a stack."""
-    residual = points - (points @ basis) @ np.swapaxes(basis, -1, -2)
-    return np.linalg.norm(residual, axis=-1) <= MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
+    most ``MEMBERSHIP_RTOL`` times their norm; one mask per basis in a stack.
+    The temporaries of S rank-r bases go in the first ``S N (r + D + 1)``
+    floats of ``scratch``, a flat array a caller may reuse, or of a new one."""
+    n, dim = points.shape
+    stack, rank = basis.shape[:-2], basis.shape[-1]
+    size = n * basis[..., 0, 0].size
+    if scratch is None:
+        scratch = np.empty(size * (rank + dim + 1))
+    coords = scratch[: size * rank].reshape(*stack, n, rank)
+    residual = scratch[size * rank : size * (rank + dim)].reshape(*stack, n, dim)
+    norms = scratch[size * (rank + dim) : size * (rank + dim + 1)].reshape(*stack, n)
+    np.matmul(points, basis, out=coords)
+    np.matmul(coords, np.swapaxes(basis, -1, -2), out=residual)
+    np.subtract(points, residual, out=residual)
+    # np.linalg.norm's own route, in place
+    np.multiply(residual, residual, out=residual)
+    np.sqrt(np.add.reduce(residual, axis=-1, out=norms), out=norms)
+    return norms <= MEMBERSHIP_RTOL * np.linalg.norm(points, axis=1)
 
 
 def subspace_members(points, subspace):

@@ -498,6 +498,33 @@ def test_estimate_failures_exit_nonzero(tmp_path, capsys, breakage, message):
     assert not (tmp_path / "result.json").exists()
 
 
+@pytest.mark.parametrize(
+    "d, truth_dim, message",
+    [
+        ("9", 6, "need 1 <= d <= 6, got d=9"),
+        ("0", None, "need 1 <= d <= 6, got d=0"),
+        ("2", 7, "ambient dimensions differ: 6 vs 7"),
+    ],
+)
+def test_estimate_checks_d_and_truth_before_the_solve(
+    tmp_path, capsys, monkeypatch, d, truth_dim, message
+):
+    def solve(*args, **kwargs):
+        raise AssertionError("estimate ran")
+
+    monkeypatch.setattr("subrec.cli.estimate", solve)
+    points, _ = generate(SyntheticModel(6, 2, 10, 4, seed=0))
+    truth = None if truth_dim is None else Subspace(np.eye(truth_dim)[:, :2])
+    write_inputs(tmp_path, points, truth)
+    argv = ["estimate", "--in", str(tmp_path / "in.csv"), "--d", d,
+            "--out", str(tmp_path / "result.json"), "--trace", str(tmp_path / "trace.csv")]
+    if truth is not None:
+        argv += ["--truth", str(tmp_path / "truth.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"subrec: {message}\n"
+    assert not (tmp_path / "result.json").exists() and not (tmp_path / "trace.csv").exists()
+
+
 def test_estimate_warning_raised_as_error_exits_nonzero(tmp_path, capsys):
     # a rank-3 set in R^10 stops at I/D, whose equal eigenvalues leave the
     # top eigenspace ambiguous: a warning by default, under -W error a
@@ -694,3 +721,21 @@ def test_installed_entry_point():
         proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == expected
+
+
+def test_cli_import_leaves_scipy_linalg_and_the_trial_pool_out():
+    # a fresh process: subrec loads SciPy's compiled BLAS and LAPACK
+    # wrappers without the Python layer of scipy.linalg, and the sweeps
+    # import their thread pool only when given threads
+    probe = (
+        "import sys, subrec.cli\n"
+        "print(sorted({'scipy.linalg', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    package_root = str(Path(subrec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

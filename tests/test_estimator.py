@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -701,6 +702,40 @@ def test_solver_does_not_call_numpy_linalg(monkeypatch):
         assert np.isfinite(objective(step, data))
         assert quadratic_forms(step, data).shape == (data.shape[0],)
         assert majorization_gap(step, start, data) >= -1e-12
+
+
+@pytest.mark.parametrize("dim", [7, 200])
+def test_bound_routines_match_scipy_linalg(dim):
+    # the seven routines the solver loads from SciPy's extension files give
+    # the bits of scipy.linalg's own blas and lapack wrappers
+    rng = np.random.default_rng(dim)
+    spd = random_spd(rng, dim)
+    lower = np.linalg.cholesky(spd)
+    rows = rng.standard_normal((dim, 3 * dim))
+    x = rng.standard_normal(dim)
+    blas, lapack = scipy.linalg.blas, scipy.linalg.lapack
+    calls = [
+        ("_POTRF", lapack.dpotrf, (spd, 1, 1)),
+        ("_TRTRI", lapack.dtrtri, (lower, 1)),
+        ("_TRMM", blas.dtrmm, (1.0, lower, rows, 0, 1, 0, 0)),
+        ("_GEMV", blas.dgemv, (1.0, rows, rows[0])),
+        ("_SYRK", blas.dsyrk, (1.0, rows, 0.0, None, 0, 1)),
+        ("_SYEV", lapack.dsyev, (spd, 1, 1)),
+        ("_DOT", blas.ddot, (x, rows[:, 0])),
+    ]
+    for name, reference, args in calls:
+        ours, theirs = getattr(subrec.estimator, name)(*args), reference(*args)
+        if not isinstance(ours, tuple):
+            ours, theirs = (ours,), (theirs,)
+        assert [np.asarray(v).tobytes() for v in ours] == [
+            np.asarray(v).tobytes() for v in theirs
+        ], name
+
+
+def test_missing_linalg_extension_names_its_directory():
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    with pytest.raises(ImportError, match=f"no compiled module _fnone in {re.escape(directory)}$"):
+        subrec.estimator._linalg_extension("_fnone")
 
 
 # Solves one (6 000, 60) set, several blocks of rows, and prints sigma's

@@ -11,6 +11,7 @@ from subrec.estimator import estimate
 from subrec.subspace import (
     AmbiguousSubspaceWarning,
     Subspace,
+    _members,
     pca_subspace,
     recovery_error,
     span_of_points,
@@ -212,6 +213,26 @@ def test_subspace_members_mask():
     # one tiny row beside unit rows: both of its norms would underflow to 0
     mask = subspace_members(np.array([[1.0, 0.0], [0.0, 1e-170], [2.0, 1.0]]), E1_R2)
     assert mask.tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("dim, stack", [(3, ()), (5, (40,)), (9, (7,)), (200, (3,))])
+def test_members_in_scratch_match_the_norm_route(dim, stack):
+    # rows at residual ratios around MEMBERSHIP_RTOL = 1e-9, on both sides of
+    # it: the in-place route gives np.linalg.norm's masks, also in a reused
+    # scratch array full of NaN
+    rng = np.random.default_rng(dim)
+    rank = dim // 2
+    basis, _ = np.linalg.qr(rng.standard_normal((*stack, dim, rank)))
+    inside = rng.standard_normal((60, rank)) @ basis.reshape(-1, dim, rank)[0].T
+    points = inside + rng.uniform(0.5e-9, 2e-9, (60, 1)) * rng.standard_normal((60, dim)) * (
+        np.linalg.norm(inside, axis=1, keepdims=True) / math.sqrt(dim)
+    )
+    residual = points - (points @ basis) @ np.swapaxes(basis, -1, -2)
+    expected = np.linalg.norm(residual, axis=-1) <= 1e-9 * np.linalg.norm(points, axis=1)
+    assert 0 < expected.sum() < expected.size
+    scratch = np.full(2 * 60 * dim * math.prod(stack), np.nan)
+    for mask in (_members(points, basis), _members(points, basis, scratch)):
+        assert np.array_equal(mask, expected)
 
 
 def test_span_of_points_ranks():
