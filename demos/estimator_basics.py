@@ -40,15 +40,16 @@ def main():
         ambient_dim=10, subspace_dim=5, n_inliers=120, n_outliers=100, seed=1
     )
     points, truth = generate(model)
-    result = estimate(points)
+    records = []
+    result = estimate(points, observer=lambda sigma, record: records.append(record))
     describe("planted subspace, inlier majority", result, points)
     found = top_d_subspace(result.sigma, 5)
     print("recovery error:", recovery_error(found, truth))
     print()
 
-    # the per-iteration trace is part of the result
+    # the observer received one record per iterate
     print("first iterations of the planted run:")
-    for record in result.trace[:5]:
+    for record in records[:5]:
         print(
             f"  k={record.k}  cost={record.objective:+.6f}  "
             f"rel_step={record.rel_step:.3e}  lambda_min={record.eig_min:.3e}"

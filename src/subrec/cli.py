@@ -129,16 +129,14 @@ def cmd_estimate(args):
 
     def observe(sigma, rec):
         err = None
-        if truth is not None:
+        if truth is not None and args.trace is not None:
             err = recovery_error(top_d_subspace(sigma, args.d), truth)
         rows.append((rec.k, rec.objective, rec.rel_step, rec.eig_min, err))
 
-    result = estimate(points, config, observer=observe if args.trace is not None else None)
+    result = estimate(points, config, observer=observe)
 
     found = top_d_subspace(result.sigma, args.d)
-    final_objective = (
-        result.trace[-1].objective if result.trace else objective(result.sigma, points)
-    )
+    final_objective = rows[-1][1] if rows else objective(result.sigma, points)
     payload = {
         "D": dim,
         "d": int(args.d),

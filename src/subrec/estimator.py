@@ -144,14 +144,11 @@ class EstimateResult:
     """Outcome of a solver run.
 
     ``sigma`` is the last finite usable iterate (trace one, symmetric).
-    ``trace`` holds one :class:`IterationRecord` per produced iterate,
-    so ``len(trace) == iterations``.
     """
 
     sigma: np.ndarray
     termination: Termination
     iterations: int
-    trace: list[IterationRecord]
 
 
 def check_points(data):
@@ -198,10 +195,10 @@ def _whole_array_shift(top):
 
 
 def _prepare(data):
-    """Validate the data and scale its rows: ``(points, prepared, offset)``.
+    """Validate the data and scale its rows: ``(prepared, offset)``.
 
-    ``points`` is the validated float array :func:`check_points` returns.
-    ``prepared`` is each row ``x`` times ``2**-e_x``.  Every row takes the
+    ``prepared`` is each row ``x`` of the validated float array
+    :func:`check_points` returns, times ``2**-e_x``.  Every row takes the
     exponent ``E`` of the largest entry when ``|E| > _SAFE_EXPONENT`` (the
     largest entry in ``[2**(E-1), 2**E)``), else 0; a row whose largest
     entry is still below ``2**-(_SAFE_EXPONENT + 1)`` takes its own, which
@@ -210,18 +207,18 @@ def _prepare(data):
     of two scales the row's forms by its exact square, which changes no
     update and no iterate; the cost of the data is the cost of
     ``prepared`` plus ``offset = 2 ln 2 mean(e_x)``.  ``prepared`` is
-    ``points`` itself when no row is scaled.
+    the validated array itself when no row is scaled.
     """
     points, top = _validate(data)
     if top is None:
-        return points, points, 0.0
+        return points, 0.0
     exponents = np.frexp(top)[1]
     shift = _whole_array_shift(top)
     exponents = np.where(exponents - shift < -_SAFE_EXPONENT, exponents, shift)
     if not exponents.any():
-        return points, points, 0.0
+        return points, 0.0
     offset = 2.0 * float(exponents.mean()) * math.log(2.0)
-    return points, np.ldexp(points, -exponents[:, None]), offset
+    return np.ldexp(points, -exponents[:, None]), offset
 
 
 def _factor(sigma, points, who, moment=False):
@@ -331,7 +328,7 @@ def objective(sigma, data):
     float
         ``mean(log(x' inv(sigma) x)) + log(det(sigma)) / D``.
     """
-    _, points, offset = _prepare(data)
+    points, offset = _prepare(data)
     lower, q, _ = _factor(sigma, points, "objective")
     if _singular(q):
         raise NotSPDError("objective: nonpositive quadratic form, sigma is numerically singular")
@@ -357,7 +354,7 @@ def fixed_point_step(sigma, data):
         floating-point signal that the iteration has hit a singular
         limit.
     """
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     _, q, step = _factor(sigma, points, "fixed_point_step", moment=True)
     if _singular(q):
         raise BreakdownError("fixed_point_step: nonpositive quadratic form")
@@ -380,15 +377,15 @@ def estimate(data, config=None, observer=None):
         with the iterate itself and its :class:`IterationRecord`, under the
         caller's numpy error state.  Each iterate is a fresh array that the
         solver never writes again, so the observer may keep it without a
-        copy; it must not modify it.
+        copy; it must not modify it.  The records' objective values never
+        increase, and the last record's relative step is below ``tol``
+        exactly when the run converged.  Without an observer the solver
+        computes no cost and builds no record.
 
     Returns
     -------
     EstimateResult
-        Final iterate, termination reason, iteration count, and a
-        per-iteration trace of ``(k, objective, rel_step, eig_min)``.
-        The objective entries never increase and the final relative
-        step is below ``tol`` exactly when the run converged.
+        Final iterate, termination reason and iteration count.
 
     Notes
     -----
@@ -411,7 +408,7 @@ def estimate(data, config=None, observer=None):
     run stops at that iterate, the next iterate.  The scratch of a pass is
     two (D, B) arrays per block, not a copy of the data.
     """
-    _, points, offset = _prepare(data)
+    points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
@@ -422,7 +419,6 @@ def estimate(data, config=None, observer=None):
     with np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
         _, _, candidate = _factor(sigma, points, "estimate", moment=True)
-        trace: list[IterationRecord] = []
         termination = Termination.MAX_ITERATIONS
         iterations = 0
 
@@ -454,14 +450,13 @@ def estimate(data, config=None, observer=None):
                 termination = Termination.BREAKDOWN
                 break
 
-            # add.reduce, not objective()'s fsum, which is three times slower
-            # the cost of the given data, not of the prepared one
-            cost = float(log_sum / n + _log_det(lower) / dim) + offset
             sigma, candidate = candidate, forms[1]
             iterations = k
-            record = IterationRecord(k, cost, rel_step, float(vals[0]))
-            trace.append(record)
             if observer is not None:
+                # add.reduce, not objective()'s fsum, which is three times slower
+                # the cost of the given data, not of the prepared one
+                cost = float(log_sum / n + _log_det(lower) / dim) + offset
+                record = IterationRecord(k, cost, rel_step, float(vals[0]))
                 with np.errstate(**caller):
                     observer(sigma, record)
 
@@ -472,6 +467,4 @@ def estimate(data, config=None, observer=None):
                 termination = Termination.BREAKDOWN
                 break
 
-    return EstimateResult(
-        sigma=sigma, termination=termination, iterations=iterations, trace=trace
-    )
+    return EstimateResult(sigma=sigma, termination=termination, iterations=iterations)

@@ -88,19 +88,19 @@ def exact_recovery_sweep(
     inlier_counts,
     trials,
     seed,
-    noise=0.0,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
     threads=1,
 ):
-    """Mean recovery error as the inlier count sweeps across the transition.
+    """Mean recovery error as the inlier count sweeps across the transition,
+    on noiseless data.
 
     Returns one ``(n_inliers, mean, std, trials)`` row per count.
     """
     rows = _sweep(
         "n_inliers", [int(n) for n in inlier_counts], trials, seed, threads,
         ambient_dim=ambient_dim, subspace_dim=subspace_dim, n_outliers=n_outliers,
-        noise=noise, tol=tol, max_iter=max_iter,
+        noise=0.0, tol=tol, max_iter=max_iter,
     )
     return [(*row, trials) for row in rows]
 

@@ -72,8 +72,7 @@ def iter_subsets(n, sizes, rng=None):
     over all ``sizes`` is at most ``EXHAUSTIVE_LIMIT`` the iterator is
     exhaustive; otherwise it yields ``RANDOM_SUBSETS`` random subsets
     with sizes drawn uniformly from ``sizes`` (requires ``rng``), drawn
-    ``_CHUNK`` at a time: reproducible per seed, but not the sample that
-    versions drawing one subset per call took at the same seed.
+    ``_CHUNK`` at a time: reproducible per seed.
     """
     sizes = [k for k in sizes if 1 <= k <= n]
     if not sizes:
@@ -131,7 +130,7 @@ def uniqueness_condition(data, seed=0):
     checked and the report says so.  Candidates are tested in stacked
     chunks; the report names the first violator in enumeration order.
     """
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     n, dim = points.shape
     method, subsets = iter_subsets(
         n, range(1, dim), rng=np.random.default_rng(seed)
@@ -168,7 +167,7 @@ def uniqueness_condition(data, seed=0):
 
 def recovery_condition(data, candidate):
     """Check that ``candidate`` holds a fraction of points strictly above dim/D."""
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     n, dim = points.shape
     if candidate.ambient_dim != dim:
         raise ValueError(
@@ -197,7 +196,7 @@ def majorization_gap(sigma, anchor, data):
     term is nonnegative, which is the certificate that one fixed-point
     update never increases the cost.  It is invariant to the data's scale.
     """
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     _, q_anchor, _ = _factor(anchor, points, "majorization_gap")
     if _singular(q_anchor):
         raise ValueError("majorization_gap: anchor is numerically singular on this data")

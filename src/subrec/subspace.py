@@ -185,7 +185,7 @@ def subspace_members(points, subspace):
     after an exact power-of-two scaling of each, where their squared
     norms neither overflow nor underflow.
     """
-    _, points, _ = _prepare(points)
+    points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(
             f"points live in dimension {points.shape[1]}, "

@@ -118,7 +118,7 @@ def spherical_projection(data):
     scaled by an exact power of two each, so their norms neither overflow
     nor underflow.
     """
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     return points / np.linalg.norm(points, axis=1)[:, None]
 
 
@@ -134,7 +134,7 @@ def general_position_check(data, truth, seed=0):
     Each row is first scaled by a power of two as :func:`~subrec.estimator.estimate`
     scales it, so the ranks depend on the rows' directions alone.
     """
-    _, points, _ = _prepare(data)
+    points, _ = _prepare(data)
     inside = subspace_members(points, truth)  # checks the dimensions
     member_coords = points[inside] @ truth.basis
     complement = np.linalg.qr(truth.basis, mode="complete")[0][:, truth.dim :]

@@ -192,11 +192,16 @@ def test_criterion_7_invariant_suite(capfd):
     for _ in range(100):
         dim = int(rng.integers(2, 6))
         data = random_points(rng, 4 * dim, dim)
-        iterates = [np.eye(dim) / dim]
-        result = estimate(data, observer=lambda sigma, rec: iterates.append(sigma))
+        iterates, records = [np.eye(dim) / dim], []
+
+        def keep(sigma, rec):
+            iterates.append(sigma)
+            records.append(rec)
+
+        estimate(data, observer=keep)
         for iterate in iterates:
             trace_dev = max(trace_dev, abs(float(np.trace(iterate)) - 1.0))
-        costs = np.array([rec.objective for rec in result.trace])
+        costs = np.array([rec.objective for rec in records])
         if len(costs) > 1:
             ascent = max(ascent, float(np.max(np.diff(costs))))
     worst["trace"] = (trace_dev, 1e-12)

@@ -419,10 +419,13 @@ def test_estimate_result_payload(tmp_path):
     basis = np.array(payload["basis"]).reshape(4, 2)
     np.testing.assert_allclose(basis.T @ basis, np.eye(2), atol=1e-10)
     # the CLI adds nothing: an in-process estimate on the same file matches
-    library = estimate(read_points_csv(tmp_path / "in.csv"))
+    records = []
+    library = estimate(
+        read_points_csv(tmp_path / "in.csv"), observer=lambda sigma, rec: records.append(rec)
+    )
     assert payload["sigma"] == [float(v) for v in library.sigma.ravel()]
     assert payload["iterations"] == library.iterations
-    assert payload["objective"] == library.trace[-1].objective
+    assert payload["objective"] == records[-1].objective
 
 
 def test_estimate_one_step_on_standard_basis(tmp_path):

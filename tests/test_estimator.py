@@ -58,6 +58,13 @@ def standard_basis(dim):
     return np.eye(dim)
 
 
+def observed(data, config=None):
+    """``(result, records)``: an estimate and the records its observer received."""
+    records = []
+    result = estimate(data, config, observer=lambda sigma, rec: records.append(rec))
+    return result, records
+
+
 # ---------------------------------------------------------------- check_points
 
 
@@ -151,13 +158,13 @@ def test_prepare_matches_the_per_row_rule(case):
         bound = {"low": 2.0 * 2.0**-514, "high": 2.0**512}[bound]
         toward = {"below": 0.0, "above": math.inf}[side]
         assert np.einsum("ij,ij->i", data, data)[1] == np.nextafter(bound, toward)
-    points, prepared, offset = subrec.estimator._prepare(data)
-    assert points is data
+    assert check_points(data) is data
+    prepared, offset = subrec.estimator._prepare(data)
     expected, expected_offset = per_row_prepared(data)
     assert prepared.tobytes() == expected.tobytes()
     assert offset.hex() == expected_offset.hex()
     # no copy when no row is scaled
-    assert (prepared is points) == (expected.tobytes() == data.tobytes())
+    assert (prepared is data) == (expected.tobytes() == data.tobytes())
 
 
 # ------------------------------------------------------------------- objective
@@ -375,11 +382,11 @@ def test_permutation_invariance():
 
 
 def test_estimate_standard_basis_one_step():
-    result = estimate(standard_basis(4))
+    result, records = observed(standard_basis(4))
     assert result.termination == Termination.CONVERGED
     assert result.iterations == 1
     np.testing.assert_allclose(result.sigma, np.eye(4) / 4, atol=1e-15)
-    assert result.trace[0].rel_step == 0.0
+    assert records[0].rel_step == 0.0
 
 
 def test_estimate_collinear_recovers_the_line():
@@ -439,15 +446,15 @@ def test_estimate_trace_invariants():
         seen = []
         result = estimate(data, observer=lambda sigma, rec: seen.append((sigma, rec)))
         iterates = [np.eye(dim) / dim] + [sigma for sigma, _ in seen]
-        assert len(result.trace) == result.iterations
+        records = [rec for _, rec in seen]
+        assert [rec.k for rec in records] == list(range(1, result.iterations + 1))
         assert len(iterates) == result.iterations + 1
-        assert [rec for _, rec in seen] == result.trace
         np.testing.assert_allclose(iterates[-1], result.sigma)
-        costs = [rec.objective for rec in result.trace]
+        costs = [rec.objective for rec in records]
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
         # the loop's cost and objective() share the factorization but
         # sum the logs differently (np.mean against fsum)
-        for rec in result.trace:
+        for rec in records:
             assert abs(rec.objective - objective(iterates[rec.k], data)) <= 1e-12
         for it in iterates[1:]:
             assert abs(np.trace(it) - 1.0) <= 1e-12
@@ -455,13 +462,29 @@ def test_estimate_trace_invariants():
         for before, after in zip(iterates, iterates[1:]):
             assert np.array_equal(after, fixed_point_step(before, data))
         if result.termination == Termination.CONVERGED:
-            assert result.trace[-1].rel_step < EstimatorConfig().tol
-        # observing a run changes nothing about it
+            assert records[-1].rel_step < EstimatorConfig().tol
+        # observing a run changes nothing about it, and its records repeat
         plain = estimate(data)
         assert np.array_equal(plain.sigma, result.sigma)
-        assert plain.trace == result.trace
+        assert observed(data)[1] == records
         assert plain.termination == result.termination
         assert plain.iterations == result.iterations
+
+
+def test_estimate_without_an_observer_builds_no_record(monkeypatch):
+    real = subrec.estimator.IterationRecord
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subrec.estimator, "IterationRecord", counted)
+    result = estimate(INTERIOR)
+    assert result.iterations > 1
+    assert built == []
+    _, records = observed(INTERIOR)
+    assert len(built) == len(records) == result.iterations
 
 
 def test_estimate_fixed_point_residual_and_identity():
@@ -493,7 +516,7 @@ def test_estimate_at_extreme_scales(scale):
     dim = points.shape[1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = estimate(points * scale)
+        result, records = observed(points * scale)
         assert result.termination == Termination.CONVERGED
         assert recovery_error(top_d_subspace(result.sigma, 5), truth) <= 1e-6
         # a power of two changes no iterate and no step
@@ -504,11 +527,11 @@ def test_estimate_at_extreme_scales(scale):
             fixed_point_step(start, points * exact), fixed_point_step(start, points)
         )
         # scaling the data by s shifts the cost by exactly 2 log s, and
-        # the trace reports the cost of the given data
+        # the records report the cost of the given data
         sigma = result.sigma
         shift = objective(sigma, points * scale) - objective(sigma, points)
         assert abs(shift - 2.0 * math.log(scale)) <= 1e-12
-        assert abs(result.trace[-1].objective - objective(sigma, points * scale)) <= 1e-12
+        assert abs(records[-1].objective - objective(sigma, points * scale)) <= 1e-12
 
 
 def test_estimate_degenerate_span_breaks_down():
@@ -575,13 +598,13 @@ def test_failed_eigensolve_is_a_breakdown(monkeypatch):
         return vals, vecs, (1 if len(calls) == 3 else info)
 
     monkeypatch.setattr(subrec.estimator, "_SYEV", failing_third_call)
-    result = estimate(INTERIOR)
+    result, records = observed(INTERIOR)
     assert result.termination == Termination.BREAKDOWN
     assert result.iterations == 2
     monkeypatch.undo()
-    two_steps = estimate(INTERIOR, EstimatorConfig(max_iter=2))
+    two_steps, two_records = observed(INTERIOR, EstimatorConfig(max_iter=2))
     assert np.array_equal(result.sigma, two_steps.sigma)
-    assert result.trace == two_steps.trace
+    assert records == two_records
 
 
 def test_failed_triangular_inverse_is_typed(monkeypatch):
@@ -597,16 +620,16 @@ def test_failed_triangular_inverse_is_typed(monkeypatch):
 
     monkeypatch.setattr(subrec.estimator, "_TRTRI", failing_third_call)
     # calls: I/D, then the first two iterates
-    result = estimate(INTERIOR)
+    result, records = observed(INTERIOR)
     assert result.termination == Termination.BREAKDOWN
     assert result.iterations == 1
     monkeypatch.setattr(subrec.estimator, "_TRTRI", lambda factor, **kwargs: (factor, 1))
     with pytest.raises(NotSPDError, match="quadratic_forms"):
         quadratic_forms(np.eye(2), INTERIOR)
     monkeypatch.undo()
-    one_step = estimate(INTERIOR, EstimatorConfig(max_iter=1))
+    one_step, one_records = observed(INTERIOR, EstimatorConfig(max_iter=1))
     assert np.array_equal(result.sigma, one_step.sigma)
-    assert result.trace == one_step.trace
+    assert records == one_records
 
 
 @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan], ids=["zero", "inf", "nan"])
@@ -628,13 +651,13 @@ def test_singular_forms_in_the_loop_are_a_breakdown(monkeypatch, bad):
     # calls: I/D, then the first two iterates
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = estimate(INTERIOR)
+        result, records = observed(INTERIOR)
     assert result.termination == Termination.BREAKDOWN
     assert result.iterations == 1
     monkeypatch.undo()
-    one_step = estimate(INTERIOR, EstimatorConfig(max_iter=1))
+    one_step, one_records = observed(INTERIOR, EstimatorConfig(max_iter=1))
     assert np.array_equal(result.sigma, one_step.sigma)
-    assert result.trace == one_step.trace
+    assert records == one_records
 
 
 # ------------------------------------------------------ numpy's error state
