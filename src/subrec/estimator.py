@@ -67,6 +67,11 @@ _HIGH_NORM = 2.0 ** (2 * _SAFE_EXPONENT)
 # column of a block as it does in one call over all rows (4096 does not).
 _BLOCK = 1536
 
+# A trace-one C = L L' has eig_min / eig_max >= 1 / trace(inv(C)) = 1 / |inv(L)|_F^2.
+# Below this bound that ratio is over 1e4 * SPD_RTOL, which dsyev, backward
+# stable to about D eps eig_max, cannot read as collapsed: estimate skips it.
+_EIGENSOLVE_AT = 1.0 / (1e4 * SPD_RTOL)
+
 
 def _linalg_extension(name):
     """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file."""
@@ -125,6 +130,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -222,37 +229,41 @@ def _prepare(data):
 
 
 def _factor(sigma, points, who, moment=False):
-    """Cholesky factor of ``sigma`` and :func:`_pass` on it; errors name ``who``."""
+    """Cholesky factor of ``sigma`` and :func:`_pass` on its inverse; errors name ``who``."""
     sigma = ensure_symmetric(sigma)
     dim = points.shape[1]
     if sigma.shape[0] != dim:
         raise ValueError(
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
-    lower = _cholesky(sigma)
-    with np.errstate(all="ignore"):  # the callers check the forms and the moment
-        result = None if lower is None else _pass(lower, points, moment)
-    if result is None:
+    factors = _cholesky(sigma)
+    if factors is None:
         raise NotSPDError(f"{who}: sigma is not positive definite")
-    return (lower, *result)
+    with np.errstate(all="ignore"):  # the callers check the forms and the moment
+        return (factors[0], *_pass(factors[1], points, moment, *_scratch(*points.shape)))
 
 
 def _cholesky(sigma):
-    """Fortran-ordered lower Cholesky factor of ``sigma``, or None when the
-    factorization fails (sigma is not positive definite in floating point)."""
+    """``(lower, inverse)``: the Fortran-ordered lower Cholesky factor L of
+    ``sigma`` and inv(L), or None when the factorization or the inversion
+    fails (sigma is not positive definite in floating point)."""
     lower, info = _POTRF(sigma, 1, 1)  # lower=1, clean=1
-    return lower if info == 0 else None
+    if info:
+        return None
+    inverse, info = _TRTRI(lower, lower=1)
+    return None if info else (lower, inverse)
 
 
-def _pass(lower, points, moment):
-    """One pass over the data for the Cholesky factor L of sigma: ``(q, step)``,
-    or None if L has no inverse.
+def _pass(inverse, points, moment, q, scratch):
+    """One pass over the data for the inverse of sigma's Cholesky factor L:
+    ``(q, step)``.
 
     ``q`` holds ``x' inv(sigma) x`` for every row, as ``|inv(L) x|^2``
     (squares summed by ``dgemv``).  ``step`` is the trace-one
     ``sum_x x x' / q_x``, None when its trace is not positive or when
     ``moment`` is false.  Forms that are not in (0, inf) leave ``step``
-    meaningless: the caller checks ``q`` before it uses ``step``.
+    meaningless: the caller checks ``q`` before it uses ``step``.  The forms
+    go into ``q``, each block's products into ``scratch`` (:func:`_scratch`).
     """
     # OpenBLAS multiplies by a triangular matrix about twice as fast as it
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
@@ -261,17 +272,15 @@ def _pass(lower, points, moment):
     # summed in an order the library fixes at a fixed thread count.  The
     # rows go in blocks of _BLOCK, each one's forms and moment terms made
     # while it is in cache.
-    inverse, info = _TRTRI(lower, lower=1)
-    if info:
-        return None
     n, dim = points.shape
     columns = points.T
-    q = np.zeros(n)  # zeros, so a BLAS that scales y by beta = 0 reads no NaN
     weighted = None
     for start in range(0, n, _BLOCK):
         rows = columns[:, start : start + _BLOCK]
-        # side, lower, trans_a, diag, overwrite_b: in place on a (D, B) copy
-        y = _TRMM(1.0, inverse, rows.copy("F"), 0, 1, 0, 0, 1)
+        block = scratch[:, : rows.shape[1]]  # leading columns: Fortran-contiguous
+        block[...] = rows
+        # side, lower, trans_a, diag, overwrite_b: in place on the block
+        y = _TRMM(1.0, inverse, block, 0, 1, 0, 0, 1)
         np.multiply(y, y, out=y)  # an overflow warns unless the caller ignores it
         # beta, y, offx, incx, offy, incy, trans, overwrite_y: the sums of
         # y's columns, written into q from row start on
@@ -280,8 +289,8 @@ def _pass(lower, points, moment):
             # syrk adds the lower triangle of S S' for S = rows / sqrt(q) to
             # its own, at half a general product's flops (beta, c, trans,
             # lower, overwrite_c); the first block's product is a fresh array
-            scaled = np.divide(rows, np.sqrt(q[start : start + y.shape[1]]))
-            weighted = _SYRK(1.0, scaled, 0.0 if weighted is None else 1.0, weighted, 0, 1, 1)
+            np.divide(rows, np.sqrt(q[start : start + y.shape[1]]), out=block)
+            weighted = _SYRK(1.0, block, 0.0 if weighted is None else 1.0, weighted, 0, 1, 1)
     # the upper triangle is zero, so the mirror of the normalized triangle,
     # with the diagonal halved, is exact
     total = weighted.trace() if moment else math.nan
@@ -291,6 +300,11 @@ def _pass(lower, points, moment):
     weighted += weighted.T
     weighted.ravel("K")[:: dim + 1] *= 0.5
     return q, weighted
+
+
+def _scratch(n, dim):
+    """The forms and block of :func:`_pass`; zeros, so a BLAS that scales q by 0 reads no NaN."""
+    return np.zeros(n), np.empty((dim, min(n, _BLOCK)), order="F")
 
 
 @functools.lru_cache(maxsize=16)
@@ -395,7 +409,11 @@ def estimate(data, config=None, observer=None):
     recovered subspace.  It stops there once an iterate fails the SPD
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
     formed (no positive trace, failed eigensolve, factorization or
-    inversion of the factor, singular forms).
+    inversion of the factor, singular forms).  The eigensolve runs only
+    for an observer's ``eig_min`` or when the inverted Cholesky factor L
+    cannot rule out the threshold: ``|inv(L)|_F^2 = trace(inv(sigma))``
+    bounds eig_max / eig_min, and below 1e10 the iterate is not collapsed.
+    Results are the same bits with or without an observer.
 
     The solve runs on the data with each row scaled by a power of two:
     every row when the largest entry is beyond about 1e77 or below about
@@ -405,20 +423,21 @@ def estimate(data, config=None, observer=None):
 
     Each iteration reads the data once, in blocks of a fixed number of
     rows B: one pass makes an iterate's quadratic forms and, unless the
-    run stops at that iterate, the next iterate.  The scratch of a pass is
-    two (D, B) arrays per block, not a copy of the data.
+    run stops at that iterate, the next iterate.  A solve allocates its
+    scratch once, the forms and one (D, B) array, not a copy of the data.
     """
     points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
+    forms, scratch = _scratch(n, dim)
 
     # the loop checks every result itself, so numpy's warnings are off in
     # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
     with np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
-        _, _, candidate = _factor(sigma, points, "estimate", moment=True)
+        candidate = _pass(_cholesky(sigma)[1], points, True, forms, scratch)[1]
         termination = Termination.MAX_ITERATIONS
         iterations = 0
 
@@ -431,26 +450,31 @@ def estimate(data, config=None, observer=None):
         # stops at this one.  A failed eigensolve, factorization or inversion
         # ends the run as a breakdown.
         for k in range(1, config.max_iter + 1):
-            forms = None
-            if candidate is not None:
+            factors = None if candidate is None else _cholesky(candidate)
+            log_sum = math.nan
+            if factors is not None:
+                lower, inverse = factors
                 # symmetric, so the memory order does not change the sequence
                 diff = (candidate - sigma).ravel("K")
                 flat = candidate.ravel("K")
                 rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
-                vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
+                entries = inverse.ravel("K")  # zero above the diagonal: |.|^2 = trace(inv(C))
+                vals, info = None, 0
+                if observer is not None or not _DOT(entries, entries) < _EIGENSOLVE_AT:
+                    vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
                 converged = rel_step < config.tol
-                collapsed = vals[0] <= SPD_RTOL * vals[-1]
+                collapsed = vals is not None and vals[0] <= SPD_RTOL * vals[-1]
                 last = converged or collapsed or k == config.max_iter
-                lower = None if info else _cholesky(candidate)
-                forms = None if lower is None else _pass(lower, points, not last)
-            # finite exactly when every form is in (0, inf): log(0) = -inf, log(-1) = nan
-            log_sum = math.nan if forms is None else np.add.reduce(np.log(forms[0]))
+                if not info:
+                    q, following = _pass(inverse, points, not last, forms, scratch)
+                    # finite exactly when every form is in (0, inf): log(0) = -inf, log(-1) = nan
+                    log_sum = np.add.reduce(np.log(q))
             if not math.isfinite(log_sum):
                 # keep the previous iterate, the last one finite arithmetic could use
                 termination = Termination.BREAKDOWN
                 break
 
-            sigma, candidate = candidate, forms[1]
+            sigma, candidate = candidate, following
             iterations = k
             if observer is not None:
                 # add.reduce, not objective()'s fsum, which is three times slower

@@ -34,7 +34,7 @@ from subrec.estimator import (
     objective,
     quadratic_forms,
 )
-from subrec.geometry import NotSPDError, geometric_mean
+from subrec.geometry import SPD_RTOL, NotSPDError, geometric_mean
 from subrec.oracles import majorization_gap
 from subrec.subspace import Subspace, recovery_error, top_d_subspace
 from subrec.synthetic import SyntheticModel, generate
@@ -56,6 +56,13 @@ E1 = Subspace([[1.0], [0.0]])
 
 def standard_basis(dim):
     return np.eye(dim)
+
+
+def one_pass(inverse, points, moment):
+    """The solver's pass over ``points`` with fresh forms and block arrays."""
+    return subrec.estimator._pass(
+        inverse, points, moment, *subrec.estimator._scratch(*points.shape)
+    )
 
 
 def observed(data, config=None):
@@ -330,22 +337,38 @@ def test_blocked_pass_matches_one_block(monkeypatch, n, dim):
     # block by block, is the one-block moment up to rounding
     rng = np.random.default_rng(n + dim)
     points = random_points(rng, n, dim)
-    lower = scipy.linalg.cholesky(random_spd(rng, dim), lower=True)
-    q, step = subrec.estimator._pass(lower, points, True)
+    _, inverse = subrec.estimator._cholesky(random_spd(rng, dim))
+    q, step = one_pass(inverse, points, True)
     assert np.array_equal(step, step.T)
     assert abs(np.trace(step) - 1.0) <= 1e-15
-    parts = [
-        subrec.estimator._pass(lower, points[i : i + _BLOCK], False)[0]
-        for i in range(0, n, _BLOCK)
-    ]
+    parts = [one_pass(inverse, points[i : i + _BLOCK], False)[0] for i in range(0, n, _BLOCK)]
     assert np.array_equal(q, np.concatenate(parts))
     monkeypatch.setattr(subrec.estimator, "_BLOCK", n)
-    q_one, step_one = subrec.estimator._pass(lower, points, True)
+    q_one, step_one = one_pass(inverse, points, True)
     # OpenBLAS's dtrmm may round the last columns of a call, or of one
     # thread's share of it, in another order, so a form can differ from
     # the one-block form in its last bit
     assert np.all(np.abs(q - q_one) <= 4 * np.finfo(float).eps * q_one)
     assert np.abs(step - step_one).max() <= 1e-14 * np.abs(step_one).max()
+
+
+@pytest.mark.parametrize("n, dim", [(7, 3), (2 * _BLOCK + 3, 20)])
+def test_pass_reuses_its_arrays_bit_for_bit(n, dim):
+    # estimate hands every pass one forms array and one block scratch; what
+    # an earlier pass left in them changes no bit of the next pass
+    rng = np.random.default_rng(n * dim)
+    points = random_points(rng, n, dim)
+    _, inverse = subrec.estimator._cholesky(random_spd(rng, dim))
+    fresh_q, fresh_step = one_pass(inverse, points, True)
+    forms, scratch = subrec.estimator._scratch(n, dim)
+    assert scratch.shape == (dim, min(n, _BLOCK)) and scratch.flags.f_contiguous
+    scratch.fill(np.nan)
+    _, other = subrec.estimator._cholesky(random_spd(rng, dim))
+    subrec.estimator._pass(other, points, True, forms, scratch)
+    q, step = subrec.estimator._pass(inverse, points, True, forms, scratch)
+    assert q is forms
+    assert q.tobytes() == fresh_q.tobytes() and step.tobytes() == fresh_step.tobytes()
+    assert not np.shares_memory(step, scratch)
 
 
 def test_step_matches_inverse_route():
@@ -569,6 +592,12 @@ def test_estimator_config_validation():
         EstimatorConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         EstimatorConfig(max_iter=0)
+    # range() would take True as 1 and fail on 2.5 with a bare TypeError
+    for bad in (2.5, 3.0, True, False, "3", None, np.float64(4.0)):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            EstimatorConfig(max_iter=bad)
+    for good in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert estimate(INTERIOR, EstimatorConfig(max_iter=good)).iterations == 2
 
 
 # ---------------------------------------------------------- breakdown handling
@@ -725,6 +754,93 @@ def test_solver_does_not_call_numpy_linalg(monkeypatch):
         assert np.isfinite(objective(step, data))
         assert quadratic_forms(step, data).shape == (data.shape[0],)
         assert majorization_gap(step, start, data) >= -1e-12
+
+
+# -------------------------------------------------- the skipped eigensolve
+
+
+def counted_eigensolves(monkeypatch):
+    """A list that gets one entry per call of the solver's eigensolve."""
+    real, calls = subrec.estimator._SYEV, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(subrec.estimator, "_SYEV", counting)
+    return calls
+
+
+# matrices per dimension: over 2 000 in all, fewer where one costs more
+_SKIP_DRAWS = {2: 400, 3: 400, 5: 400, 10: 300, 20: 300, 60: 200, 200: 60}
+
+
+@pytest.mark.parametrize("dim", sorted(_SKIP_DRAWS))
+def test_skipped_eigensolve_cannot_read_collapse(dim):
+    # estimate eigensolves an iterate only when |inv(L)|_F^2 reaches
+    # _EIGENSOLVE_AT; every trace-one SPD matrix below that bound, at
+    # eigenvalue ratios down to 1e-16, must read as not collapsed, and with
+    # a margin: the bound leaves a factor 1e4 for dsyev's rounding
+    solver = subrec.estimator
+    rng = np.random.default_rng(1000 + dim)
+    skipped = near = 0
+    for draw in range(_SKIP_DRAWS[dim]):
+        if draw % 2:
+            # one small eigenvalue, the closest a matrix can come to the
+            # bound: |inv(L)|_F^2 is then about D / ratio
+            ratio, vals = 10.0 ** -rng.uniform(7.0, 11.0), np.ones(dim)
+        else:
+            ratio = 10.0 ** -rng.uniform(0.0, 16.0)
+            vals = ratio ** rng.random(dim)
+        vals[:2] = ratio, 1.0
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        sigma = (basis * vals) @ basis.T
+        sigma = (sigma + sigma.T) / 2.0
+        sigma /= np.trace(sigma)
+        factors = solver._cholesky(sigma)
+        if factors is None:
+            continue
+        entries = factors[1].ravel("K")
+        if not solver._DOT(entries, entries) < solver._EIGENSOLVE_AT:
+            continue
+        skipped += 1
+        eigs, _, info = solver._SYEV(sigma, 0, 1)
+        assert info == 0
+        assert eigs[0] > 1e3 * SPD_RTOL * eigs[-1]
+        near += eigs[0] < 1e-9 * dim * eigs[-1]
+    assert skipped >= _SKIP_DRAWS[dim] // 4
+    assert near >= 1
+
+
+@pytest.mark.parametrize("case", [*range(len(_KNOWN_RUNS)), "tight"])
+def test_estimate_is_the_same_with_and_without_an_observer(monkeypatch, case):
+    # only an observer needs every iterate's eig_min; without one the loop
+    # skips the eigensolve of iterates that cannot be collapsed, and the
+    # run ends at the same iterate, bit for bit, in the same way
+    if case == "tight":  # the SPD threshold stops the collapse
+        data, config = COLLINEAR, EstimatorConfig(tol=1e-300, max_iter=5000)
+    else:
+        data, config = _KNOWN_RUNS[case][0], None
+    calls = counted_eigensolves(monkeypatch)
+    plain = estimate(data, config)
+    plain_calls = len(calls)
+    watched, records = observed(data, config)
+    assert plain.sigma.tobytes() == watched.sigma.tobytes()
+    assert (plain.iterations, plain.termination) == (watched.iterations, watched.termination)
+    assert len(records) == watched.iterations
+    if case == "tight":
+        assert plain.termination == Termination.BREAKDOWN
+        assert 1 <= plain_calls < plain.iterations
+
+
+def test_eigensolve_runs_for_the_observer_alone(monkeypatch):
+    # INTERIOR's iterates stay far from collapse: no eigensolve without an
+    # observer, one per produced iterate with one
+    calls = counted_eigensolves(monkeypatch)
+    result = estimate(INTERIOR)
+    assert (result.termination, len(calls)) == (Termination.CONVERGED, 0)
+    watched, records = observed(INTERIOR)
+    assert len(calls) == len(records) == watched.iterations == result.iterations
 
 
 @pytest.mark.parametrize("dim", [7, 200])
