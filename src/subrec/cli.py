@@ -128,10 +128,12 @@ def cmd_estimate(args):
     rows = []
 
     def observe(sigma, rec):
-        err = None
-        if truth is not None and args.trace is not None:
-            err = recovery_error(top_d_subspace(sigma, args.d), truth)
-        rows.append((rec.k, rec.objective, rec.rel_step, rec.eig_min, err))
+        lam = err = None
+        if args.trace is not None:  # only the trace reads the spectrum and the error
+            lam = float(np.linalg.eigvalsh(sigma)[0])
+            if truth is not None:
+                err = recovery_error(top_d_subspace(sigma, args.d), truth)
+        rows.append((rec.k, rec.objective, rec.rel_step, lam, err))
 
     result = estimate(points, config, observer=observe)
 

@@ -99,6 +99,15 @@ _TRMM, _SYRK, _GEMV, _DOT = _fblas.dtrmm, _fblas.dsyrk, _fblas.dgemv, _fblas.ddo
 _POTRF, _TRTRI, _SYEV = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyev
 
 
+def _check_number(name, value, least=None, integer=True):
+    """Reject bools, non-integers (non-numbers if not ``integer``) and values below ``least``."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 class Termination(str, Enum):
     """How a solver run ended."""
 
@@ -128,22 +137,19 @@ class EstimatorConfig:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
+        _check_number("tol", self.tol, integer=False)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        _check_number("max_iter", self.max_iter, least=1)
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Diagnostics for one produced iterate."""
+    """Diagnostics for one produced iterate: its index, cost and relative step."""
 
     k: int
     objective: float
     rel_step: float
-    eig_min: float
 
 
 @dataclass
@@ -410,10 +416,10 @@ def estimate(data, config=None, observer=None):
     threshold (eig_min <= 1e-14 * eig_max) or the next update cannot be
     formed (no positive trace, failed eigensolve, factorization or
     inversion of the factor, singular forms).  The eigensolve runs only
-    for an observer's ``eig_min`` or when the inverted Cholesky factor L
-    cannot rule out the threshold: ``|inv(L)|_F^2 = trace(inv(sigma))``
-    bounds eig_max / eig_min, and below 1e10 the iterate is not collapsed.
-    Results are the same bits with or without an observer.
+    when the inverted Cholesky factor L cannot rule out the threshold:
+    ``|inv(L)|_F^2 = trace(inv(sigma))`` bounds eig_max / eig_min, and
+    below 1e10 the iterate is not collapsed.  An observer changes nothing
+    the solver computes, only the cost and record it is handed.
 
     The solve runs on the data with each row scaled by a power of two:
     every row when the largest entry is beyond about 1e77 or below about
@@ -459,11 +465,11 @@ def estimate(data, config=None, observer=None):
                 flat = candidate.ravel("K")
                 rel_step = math.sqrt(_DOT(diff, diff)) / math.sqrt(_DOT(flat, flat))
                 entries = inverse.ravel("K")  # zero above the diagonal: |.|^2 = trace(inv(C))
-                vals, info = None, 0
-                if observer is not None or not _DOT(entries, entries) < _EIGENSOLVE_AT:
+                collapsed, info = False, 0
+                if not _DOT(entries, entries) < _EIGENSOLVE_AT:
                     vals, _, info = _SYEV(candidate, 0, 1)  # compute_v=0, lower=1
+                    collapsed = vals[0] <= SPD_RTOL * vals[-1]
                 converged = rel_step < config.tol
-                collapsed = vals is not None and vals[0] <= SPD_RTOL * vals[-1]
                 last = converged or collapsed or k == config.max_iter
                 if not info:
                     q, following = _pass(inverse, points, not last, forms, scratch)
@@ -480,9 +486,8 @@ def estimate(data, config=None, observer=None):
                 # add.reduce, not objective()'s fsum, which is three times slower
                 # the cost of the given data, not of the prepared one
                 cost = float(log_sum / n + _log_det(lower) / dim) + offset
-                record = IterationRecord(k, cost, rel_step, float(vals[0]))
                 with np.errstate(**caller):
-                    observer(sigma, record)
+                    observer(sigma, IterationRecord(k, cost, rel_step))
 
             if converged:
                 termination = Termination.CONVERGED

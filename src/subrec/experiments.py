@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import DEFAULT_MAX_ITER, DEFAULT_TOL, EstimatorConfig, estimate
+from .estimator import DEFAULT_MAX_ITER, DEFAULT_TOL, EstimatorConfig, _check_number, estimate
 from .subspace import recovery_error, top_d_subspace
 from .synthetic import SyntheticModel, generate
 
@@ -62,8 +62,7 @@ def _sweep(field, values, trials, seed, threads, **fixed):
     """``(value, mean, std)`` recovery-error rows as the :func:`recovery_trial`
     argument ``field`` takes each of ``values``; trial ``i`` uses ``seed + i``,
     on up to ``threads`` threads."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check_number("trials", trials, least=1)
     rows = []
     for value in values:
         # recovery_trial is looked up per call, so a wrapped one sees every trial

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _prepare, _validate, _whole_array_shift
+from .estimator import _check_number, _prepare, _validate, _whole_array_shift
 from .geometry import sym_eigendecompose
 
 __all__ = [
@@ -103,6 +103,7 @@ def top_d_subspace(sigma, d):
     arbitrary resolution of a genuinely ambiguous choice.  The test is
     relative, so it gives the same verdict for ``sigma`` at any scale.
     """
+    _check_number("d", d)
     vals, vecs = sym_eigendecompose(sigma)
     ambient = vals.shape[0]
     if not 1 <= d <= ambient:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _prepare
+from .estimator import _check_number, _prepare
 from .oracles import _subset_chunks, iter_subsets
 from .subspace import Subspace, _rank, subspace_members
 
@@ -59,15 +59,15 @@ class SyntheticModel:
     rotate: bool = False
 
     def __post_init__(self):
-        if self.ambient_dim < 1:
-            raise ValueError(f"ambient_dim must be positive, got {self.ambient_dim}")
+        least = {"ambient_dim": 1, "subspace_dim": 1, "n_inliers": 0, "n_outliers": 0, "seed": 0}
+        for name, low in least.items():
+            _check_number(name, getattr(self, name), low)
+        _check_number("noise", self.noise, integer=False)
         if not 1 <= self.subspace_dim <= self.ambient_dim:
             raise ValueError(
                 f"need 1 <= subspace_dim <= ambient_dim, got "
                 f"subspace_dim={self.subspace_dim}, ambient_dim={self.ambient_dim}"
             )
-        if self.n_inliers < 0 or self.n_outliers < 0:
-            raise ValueError("point counts cannot be negative")
         if self.n_inliers + self.n_outliers < 1:
             raise ValueError("the data set must contain at least one point")
         if not (np.isfinite(self.noise) and self.noise >= 0.0):

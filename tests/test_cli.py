@@ -17,7 +17,7 @@ from reference import line_parsed_points_csv
 import subrec
 from subrec import fileio
 from subrec.cli import main
-from subrec.estimator import estimate
+from subrec.estimator import EstimatorConfig, estimate
 from subrec.fileio import (
     format_float,
     read_points_csv,
@@ -476,6 +476,57 @@ def test_estimate_trace_without_truth_leaves_error_blank(tmp_path):
     assert rc == 0
     rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
     assert all(r[4] == "" for r in rows)
+
+
+def counted_eigensolves(monkeypatch):
+    """A list that gets one entry per call of the solver's eigensolve."""
+    real, calls = subrec.estimator._SYEV, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(subrec.estimator, "_SYEV", counting)
+    return calls
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_estimate_makes_no_eigensolve_on_an_interior_set(tmp_path, monkeypatch, trace):
+    # 80 inliers of 180 on a 5-dim subspace of R^10 is below the transition:
+    # the iterates stay far from collapse, so the solver never eigensolves,
+    # whether or not the command writes a trace
+    model = SyntheticModel(ambient_dim=10, subspace_dim=5, n_inliers=80, n_outliers=100, seed=1)
+    write_inputs(tmp_path, *generate(model))
+    argv = [
+        "estimate", "--in", str(tmp_path / "in.csv"), "--d", "5",
+        "--truth", str(tmp_path / "truth.json"), "--out", str(tmp_path / "result.json"),
+    ]
+    calls = counted_eigensolves(monkeypatch)
+    assert main([*argv, "--trace", str(tmp_path / "trace.csv")] if trace else argv) == 0
+    payload = json.loads((tmp_path / "result.json").read_text())
+    assert (payload["termination"], payload["iterations"]) == ("converged", 80)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "points, tol",
+    [(COLLINEAR, "1e-300"), (generate(SyntheticModel(10, 5, 80, 100, seed=1))[0], "1e-8")],
+    ids=["collapsing", "interior"],
+)
+def test_trace_lambda_min_is_the_observed_iterates_smallest_eigenvalue(tmp_path, points, tol):
+    # the trace computes lambda_min from the iterate the observer is handed
+    write_inputs(tmp_path, points)
+    rc = main([
+        "estimate", "--in", str(tmp_path / "in.csv"), "--d", "1", "--tol", tol,
+        "--out", str(tmp_path / "result.json"), "--trace", str(tmp_path / "trace.csv"),
+    ])
+    assert rc == 0
+    rows = [line.split(",") for line in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+    iterates = []
+    config = EstimatorConfig(tol=float(tol))
+    estimate(read_points_csv(tmp_path / "in.csv"), config, lambda sigma, _: iterates.append(sigma))
+    assert len(rows) == len(iterates) > 1
+    assert [float(r[3]) for r in rows] == [float(np.linalg.eigvalsh(it)[0]) for it in iterates]
 
 
 @pytest.mark.parametrize(

@@ -598,6 +598,13 @@ def test_estimator_config_validation():
             EstimatorConfig(max_iter=bad)
     for good in (np.int64(2), np.int32(2), np.uint8(2)):
         assert estimate(INTERIOR, EstimatorConfig(max_iter=good)).iterations == 2
+    # a tol of True would stop after one iteration, "1e-3" fail with a bare TypeError
+    for bad in (True, False, "1e-3", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="tol must be a number"):
+            EstimatorConfig(tol=bad)
+    for good in (np.float64(1e-8), np.float32(1e-8), np.int64(1), 1):
+        plain = estimate(INTERIOR, EstimatorConfig(tol=float(good)))
+        assert estimate(INTERIOR, EstimatorConfig(tol=good)).iterations == plain.iterations
 
 
 # ---------------------------------------------------------- breakdown handling
@@ -617,7 +624,10 @@ def test_proactive_breakdown_stop():
 
 def test_failed_eigensolve_is_a_breakdown(monkeypatch):
     # a nonzero LAPACK info from the loop's eigensolve ends the run as a
-    # breakdown that keeps the last usable iterate
+    # breakdown that keeps the last usable iterate.  The loop eigensolves
+    # only near collapse, so the run is COLLINEAR's tight one, whose
+    # eigensolves start at iterate 57 of 79
+    config = EstimatorConfig(tol=1e-300, max_iter=5000)
     real = subrec.estimator._SYEV
     calls = []
 
@@ -627,13 +637,18 @@ def test_failed_eigensolve_is_a_breakdown(monkeypatch):
         return vals, vecs, (1 if len(calls) == 3 else info)
 
     monkeypatch.setattr(subrec.estimator, "_SYEV", failing_third_call)
-    result, records = observed(INTERIOR)
+    result, records = observed(COLLINEAR, config)
     assert result.termination == Termination.BREAKDOWN
-    assert result.iterations == 2
+    assert len(calls) == 3
     monkeypatch.undo()
-    two_steps, two_records = observed(INTERIOR, EstimatorConfig(max_iter=2))
-    assert np.array_equal(result.sigma, two_steps.sigma)
-    assert records == two_records
+    plain = estimate(COLLINEAR, config)
+    assert plain.termination == Termination.BREAKDOWN
+    assert 3 <= result.iterations + 1 < plain.iterations
+    shorter = EstimatorConfig(tol=1e-300, max_iter=result.iterations)
+    cut, cut_records = observed(COLLINEAR, shorter)
+    assert cut.termination == Termination.MAX_ITERATIONS
+    assert result.sigma.tobytes() == cut.sigma.tobytes()
+    assert records == cut_records
 
 
 def test_failed_triangular_inverse_is_typed(monkeypatch):
@@ -814,9 +829,9 @@ def test_skipped_eigensolve_cannot_read_collapse(dim):
 
 @pytest.mark.parametrize("case", [*range(len(_KNOWN_RUNS)), "tight"])
 def test_estimate_is_the_same_with_and_without_an_observer(monkeypatch, case):
-    # only an observer needs every iterate's eig_min; without one the loop
-    # skips the eigensolve of iterates that cannot be collapsed, and the
-    # run ends at the same iterate, bit for bit, in the same way
+    # the observer is handed each iterate and its record, and changes
+    # nothing the loop computes: the same eigensolves, and the run ends at
+    # the same iterate, bit for bit, in the same way
     if case == "tight":  # the SPD threshold stops the collapse
         data, config = COLLINEAR, EstimatorConfig(tol=1e-300, max_iter=5000)
     else:
@@ -828,19 +843,21 @@ def test_estimate_is_the_same_with_and_without_an_observer(monkeypatch, case):
     assert plain.sigma.tobytes() == watched.sigma.tobytes()
     assert (plain.iterations, plain.termination) == (watched.iterations, watched.termination)
     assert len(records) == watched.iterations
+    assert len(calls) == 2 * plain_calls
     if case == "tight":
         assert plain.termination == Termination.BREAKDOWN
         assert 1 <= plain_calls < plain.iterations
 
 
-def test_eigensolve_runs_for_the_observer_alone(monkeypatch):
-    # INTERIOR's iterates stay far from collapse: no eigensolve without an
-    # observer, one per produced iterate with one
+def test_no_eigensolve_far_from_collapse_watched_or_not(monkeypatch):
+    # INTERIOR's iterates stay far from collapse: no eigensolve, with an
+    # observer or without one
     calls = counted_eigensolves(monkeypatch)
     result = estimate(INTERIOR)
     assert (result.termination, len(calls)) == (Termination.CONVERGED, 0)
     watched, records = observed(INTERIOR)
-    assert len(calls) == len(records) == watched.iterations == result.iterations
+    assert len(records) == watched.iterations == result.iterations
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("dim", [7, 200])

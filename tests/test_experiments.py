@@ -1,7 +1,10 @@
 """Experiment drivers: seeding, row shapes, thread independence."""
 
 import numpy as np
+import pytest
 
+import subrec.estimator
+from subrec.estimator import Termination
 from subrec.experiments import (
     convergence_run,
     exact_recovery_sweep,
@@ -32,6 +35,13 @@ def test_sweep_rows():
     # below the transition the error is macroscopic, above it vanishes
     assert rows[0][1] > 1e-3
     assert rows[1][1] < 1e-6
+    # True would run one trial and write True into the trials column
+    for bad in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            exact_recovery_sweep(4, 2, 6, [6, 14], trials=bad, seed=2)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            noise_sweep(4, 2, 12, 6, [0.0], trials=bad, seed=3)
+    assert exact_recovery_sweep(4, 2, 6, [6, 14], trials=np.int64(3), seed=2) == rows
 
 
 def test_sweep_is_thread_count_independent():
@@ -66,6 +76,22 @@ def test_convergence_run_rows():
     assert rows[-1][1] == 0.0
     assert rows[-1][2] < 1e-6
     assert truth.dim == 2
+
+
+def test_convergence_run_makes_no_eigensolve_on_an_interior_set(monkeypatch):
+    # the run observes every iterate, which costs the solver no eigensolve:
+    # 80 inliers of 180 on a 5-dim subspace of R^10 is below the transition
+    real, calls = subrec.estimator._SYEV, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(subrec.estimator, "_SYEV", counting)
+    result, _, rows = convergence_run(10, 5, 80, 100, 0.0, 1)
+    assert result.termination == Termination.CONVERGED
+    assert len(rows) == result.iterations == 80
+    assert calls == []
 
 
 def test_noise_sweep_rows():

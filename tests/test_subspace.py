@@ -107,6 +107,11 @@ def test_top_d_range_errors():
         top_d_subspace(np.eye(3), 0)
     with pytest.raises(ValueError, match="1 <= d"):
         top_d_subspace(np.eye(3), 4)
+    # True would index the eigenvalues as a mask, 1.5 fail with an IndexError
+    for bad in (True, 1.5, "1", np.float64(1.0)):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            top_d_subspace(np.eye(3), bad)
+    assert top_d_subspace(np.diag([3.0, 2.0, 1.0]), np.int64(2)).dim == 2
 
 
 # -------------------------------------------------------------- recovery_error

@@ -93,6 +93,12 @@ def test_generate_matches_the_stacking_path(shape, seed):
     assert points.shape == ref_points.shape
     assert points.tobytes() == ref_points.tobytes()
     assert truth.basis.tobytes() == ref_truth.basis.tobytes()
+    # NumPy integers and floats are accepted and draw the same data
+    typed = SyntheticModel(
+        np.int64(ambient), np.int32(dim), np.uint16(n_in), np.int64(n_out),
+        noise=np.float64(noise), seed=np.uint32(seed), rotate=rotate,
+    )
+    assert generate(typed)[0].tobytes() == points.tobytes()
 
 
 def test_generate_holds_one_copy_of_the_data():
@@ -175,6 +181,15 @@ def test_noise_touches_every_point():
         dict(ambient_dim=3, subspace_dim=1, n_inliers=-1, n_outliers=2),
         dict(ambient_dim=3, subspace_dim=1, n_inliers=0, n_outliers=0),
         dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, noise=-0.1),
+        # a non-integer count or seed would fail only in generate, a bool
+        # count or noise would run as 1
+        dict(ambient_dim=10.5, subspace_dim=1, n_inliers=1, n_outliers=0),
+        dict(ambient_dim=3, subspace_dim=1, n_inliers=2.5, n_outliers=0),
+        dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, seed=1.5),
+        dict(ambient_dim=3, subspace_dim=True, n_inliers=1, n_outliers=0),
+        dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, noise=True),
+        dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, noise="0.1"),
+        dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, seed=-1),
     ],
 )
 def test_model_validation(kwargs):
