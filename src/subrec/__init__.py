@@ -3,9 +3,7 @@
 The package fits Tyler's M-estimator of scatter by fixed-point
 iteration, recovers low-dimensional inlier subspaces from its top
 eigenspace, verifies the combinatorial conditions that govern when that
-works, and measures it all on seeded synthetic data.  A small
-affine-invariant geometry toolkit for SPD matrices backs the
-convexity-related diagnostics.
+works, and measures it all on seeded synthetic data.
 """
 
 from .estimator import (
@@ -13,8 +11,10 @@ from .estimator import (
     EstimateResult,
     EstimatorConfig,
     IterationRecord,
+    NotSPDError,
     Termination,
     check_points,
+    ensure_symmetric,
     estimate,
     fixed_point_step,
     objective,
@@ -26,13 +26,6 @@ from .experiments import (
     noise_sweep,
     recovery_trial,
 )
-from .geometry import (
-    NotSPDError,
-    ensure_symmetric,
-    geodesic,
-    geometric_mean,
-    sym_eigendecompose,
-)
 from .oracles import (
     ConditionReport,
     majorization_gap,
@@ -42,7 +35,6 @@ from .oracles import (
 from .subspace import (
     AmbiguousSubspaceWarning,
     Subspace,
-    pca_subspace,
     recovery_error,
     span_of_points,
     subspace_members,
@@ -52,7 +44,6 @@ from .synthetic import (
     SyntheticModel,
     general_position_check,
     generate,
-    spherical_projection,
 )
 
 __version__ = "0.1.0"
@@ -77,20 +68,15 @@ __all__ = [
     "fixed_point_step",
     "general_position_check",
     "generate",
-    "geodesic",
-    "geometric_mean",
     "majorization_gap",
     "noise_sweep",
     "objective",
-    "pca_subspace",
     "quadratic_forms",
     "recovery_condition",
     "recovery_error",
     "recovery_trial",
-    "spherical_projection",
     "span_of_points",
     "subspace_members",
-    "sym_eigendecompose",
     "top_d_subspace",
     "uniqueness_condition",
 ]

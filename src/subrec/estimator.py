@@ -30,16 +30,16 @@ from importlib.util import module_from_spec
 import numpy as np
 import scipy
 
-from .geometry import SPD_RTOL, NotSPDError, ensure_symmetric
-
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
     "Termination",
     "BreakdownError",
+    "NotSPDError",
     "EstimatorConfig",
     "IterationRecord",
     "EstimateResult",
+    "ensure_symmetric",
     "check_points",
     "quadratic_forms",
     "objective",
@@ -49,6 +49,12 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 1000
+
+# Relative asymmetry above this is an error, below it is absorbed by averaging.
+SYMMETRY_RTOL = 1e-12
+# A symmetric matrix counts as numerically positive definite when
+# eig_min > SPD_RTOL * eig_max.
+SPD_RTOL = 1e-14
 
 # A row whose largest entry is outside [2**-(_SAFE_EXPONENT + 1),
 # 2**_SAFE_EXPONENT) is scaled by a power of two before use (_prepare): its
@@ -120,6 +126,10 @@ class BreakdownError(RuntimeError):
     """The iterate can no longer be used as an SPD matrix in floating point."""
 
 
+class NotSPDError(ValueError):
+    """A matrix that had to be positive definite is not (numerically)."""
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Solver knobs.
@@ -138,8 +148,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_number("tol", self.tol, integer=False)
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         _check_number("max_iter", self.max_iter, least=1)
 
 
@@ -200,13 +210,6 @@ def _validate(data):
     return points, top
 
 
-def _whole_array_shift(top):
-    """The exponent ``E`` of the largest of the row magnitudes ``top`` when
-    ``|E| > _SAFE_EXPONENT``, else 0: the power of two every row takes."""
-    shift = math.frexp(top.max())[1]
-    return shift if abs(shift) > _SAFE_EXPONENT else 0
-
-
 def _prepare(data):
     """Validate the data and scale its rows: ``(prepared, offset)``.
 
@@ -226,12 +229,59 @@ def _prepare(data):
     if top is None:
         return points, 0.0
     exponents = np.frexp(top)[1]
-    shift = _whole_array_shift(top)
+    shift = math.frexp(top.max())[1]
+    shift = shift if abs(shift) > _SAFE_EXPONENT else 0
     exponents = np.where(exponents - shift < -_SAFE_EXPONENT, exponents, shift)
     if not exponents.any():
         return points, 0.0
     offset = 2.0 * float(exponents.mean()) * math.log(2.0)
     return np.ldexp(points, -exponents[:, None]), offset
+
+
+def ensure_symmetric(mat):
+    """Return the symmetrized copy of ``mat``, rejecting real asymmetry.
+
+    Parameters
+    ----------
+    mat : ndarray, shape (D, D)
+        Square matrix with finite entries.
+
+    Returns
+    -------
+    ndarray, shape (D, D)
+        ``(mat + mat.T) / 2``, which is exactly symmetric entrywise.
+
+    Raises
+    ------
+    ValueError
+        If ``mat`` is not square, has non-finite entries, or deviates
+        from symmetry by more than ``SYMMETRY_RTOL`` (1e-12) in relative
+        Frobenius norm.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    # Frobenius norms in numpy's own loops: np.linalg.norm's BLAS dot costs
+    # more on small matrices and runs on numpy's OpenBLAS, whose worker
+    # pool the solver's SciPy calls would then compete with.  einsum gives
+    # inf on an overflow without a warning.
+    scale = math.sqrt(np.einsum("ij,ij->", mat, mat))
+    if not scale < math.inf and not np.isfinite(mat).all():  # inf or NaN, not an overflow
+        raise ValueError("matrix has non-finite entries")
+    # Outside [2**-256, 2**256) the squares below overflow, or lose bits to
+    # underflow near the threshold; a nonzero matrix is then checked and
+    # averaged as a copy whose largest entry is in [1/2, 1), exact both ways.
+    # Inside, scale is positive unless the matrix is zero.
+    if not 2.0**-256 <= scale < 2.0**256 and mat.any():
+        shift = math.frexp(np.abs(mat).max())[1]
+        return np.ldexp(ensure_symmetric(np.ldexp(mat, -shift)), shift)
+    asym = mat - mat.T
+    drift = math.sqrt(np.add.reduce(np.square(asym, out=asym), axis=None))
+    if drift > SYMMETRY_RTOL * scale:
+        raise ValueError(
+            f"matrix is not symmetric (relative asymmetry {drift / scale:.3e})"
+        )
+    return (mat + mat.T) / 2.0
 
 
 def _factor(sigma, points, who, moment=False):

@@ -21,8 +21,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .estimator import _factor, _prepare, _singular
-from .geometry import NotSPDError
+from .estimator import NotSPDError, _factor, _prepare, _singular
 from .subspace import Subspace, _members, _rank
 
 __all__ = [
@@ -166,7 +165,12 @@ def uniqueness_condition(data, seed=0):
 
 
 def recovery_condition(data, candidate):
-    """Check that ``candidate`` holds a fraction of points strictly above dim/D."""
+    """Check that ``candidate`` holds a fraction of points strictly above dim/D.
+
+    D is the ambient dimension, not the rank of the data's span, so on data
+    that does not span R^D the check is lenient: a solve in a span of rank
+    r < D needs a share above dim/r, and this counts against dim/D.
+    """
     points, _ = _prepare(data)
     n, dim = points.shape
     if candidate.ambient_dim != dim:

@@ -12,15 +12,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _check_number, _prepare, _validate, _whole_array_shift
-from .geometry import sym_eigendecompose
+from .estimator import _check_number, _prepare, ensure_symmetric
 
 __all__ = [
     "AmbiguousSubspaceWarning",
     "Subspace",
     "top_d_subspace",
     "recovery_error",
-    "pca_subspace",
     "subspace_members",
     "span_of_points",
 ]
@@ -94,6 +92,13 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
 
 
+def _eigendecompose(mat):
+    """Eigenvalues of a symmetric matrix, descending, and their orthonormal
+    eigenvectors as columns; small asymmetry is averaged away."""
+    vals, vecs = np.linalg.eigh(ensure_symmetric(mat))
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
 def top_d_subspace(sigma, d):
     """Span of the top ``d`` eigenvectors of a symmetric matrix.
 
@@ -104,7 +109,7 @@ def top_d_subspace(sigma, d):
     relative, so it gives the same verdict for ``sigma`` at any scale.
     """
     _check_number("d", d)
-    vals, vecs = sym_eigendecompose(sigma)
+    vals, vecs = _eigendecompose(sigma)
     ambient = vals.shape[0]
     if not 1 <= d <= ambient:
         raise ValueError(f"need 1 <= d <= {ambient}, got d={d}")
@@ -130,23 +135,6 @@ def recovery_error(s1, s2):
             f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}"
         )
     return float(np.linalg.norm(s1.projector - s2.projector))
-
-
-def pca_subspace(data, d):
-    """Top-``d`` eigenspace of the raw second-moment matrix of ``data``.
-
-    The sample mean is not removed: raw second moments are what the
-    recovery experiments compare against.  Data whose largest entry
-    is beyond about 1e77 or below about 1e-77 is first scaled as a whole
-    by a power of two, so the moment neither overflows nor underflows;
-    the rows keep their relative sizes, on which PCA depends.
-    """
-    points, top = _validate(data)
-    shift = 0 if top is None else _whole_array_shift(top)
-    if shift:
-        points = np.ldexp(points, -shift)
-    moment = points.T @ points / points.shape[0]
-    return top_d_subspace(moment, d)
 
 
 def _rank(s):

@@ -20,7 +20,6 @@ from .subspace import Subspace, _rank, subspace_members
 __all__ = [
     "SyntheticModel",
     "generate",
-    "spherical_projection",
     "general_position_check",
 ]
 
@@ -63,6 +62,8 @@ class SyntheticModel:
         for name, low in least.items():
             _check_number(name, getattr(self, name), low)
         _check_number("noise", self.noise, integer=False)
+        if not isinstance(self.rotate, (bool, np.bool_)):
+            raise ValueError(f"rotate must be a bool, got {self.rotate!r}")
         if not 1 <= self.subspace_dim <= self.ambient_dim:
             raise ValueError(
                 f"need 1 <= subspace_dim <= ambient_dim, got "
@@ -107,19 +108,6 @@ def generate(model):
         for block in np.split(points, range(rows, len(points), rows)):
             block += model.noise * rng.standard_normal(block.shape)
     return points, Subspace(basis)
-
-
-def spherical_projection(data):
-    """Scale every point to unit norm.
-
-    The estimator's update and minimizer do not depend on point
-    magnitudes, so this changes neither; it is useful for conditioning
-    data sets with wildly mixed scales.  Rows at extreme scales are first
-    scaled by an exact power of two each, so their norms neither overflow
-    nor underflow.
-    """
-    points, _ = _prepare(data)
-    return points / np.linalg.norm(points, axis=1)[:, None]
 
 
 def general_position_check(data, truth, seed=0):

@@ -33,6 +33,17 @@ def random_points(rng, n, dim):
     return rng.standard_normal((n, dim))
 
 
+def geometric_mean(s1, s2):
+    """Midpoint ``s1^(1/2) (s1^(-1/2) s2 s1^(-1/2))^(1/2) s1^(1/2)`` of the
+    affine-invariant geodesic between two SPD matrices, by ``eigh``."""
+    vals, vecs = np.linalg.eigh(s1)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.T
+    vals, vecs = np.linalg.eigh(inv_root @ s2 @ inv_root)
+    mean = root @ (vecs * np.sqrt(vals)) @ vecs.T @ root
+    return (mean + mean.T) / 2.0
+
+
 def inv_quadratic_forms(sigma, points):
     """Quadratic forms through an explicit inverse."""
     inv = np.linalg.inv(sigma)

@@ -15,6 +15,7 @@ import scipy.linalg
 
 import subrec.estimator
 from reference import (
+    geometric_mean,
     inv_estimate,
     inv_objective,
     inv_quadratic_forms,
@@ -25,16 +26,18 @@ from reference import (
     random_spd,
 )
 from subrec.estimator import (
+    SPD_RTOL,
     BreakdownError,
     EstimatorConfig,
+    NotSPDError,
     Termination,
     check_points,
+    ensure_symmetric,
     estimate,
     fixed_point_step,
     objective,
     quadratic_forms,
 )
-from subrec.geometry import SPD_RTOL, NotSPDError, geometric_mean
 from subrec.oracles import majorization_gap
 from subrec.subspace import Subspace, recovery_error, top_d_subspace
 from subrec.synthetic import SyntheticModel, generate
@@ -172,6 +175,46 @@ def test_prepare_matches_the_per_row_rule(case):
     assert offset.hex() == expected_offset.hex()
     # no copy when no row is scaled
     assert (prepared is data) == (expected.tobytes() == data.tobytes())
+
+
+# ------------------------------------------------------------ ensure_symmetric
+
+
+def test_ensure_symmetric_absorbs_drift():
+    mat = np.array([[1.0, 0.5 + 1e-15], [0.5, 2.0]])
+    out = ensure_symmetric(mat)
+    assert np.array_equal(out, out.T)
+    np.testing.assert_allclose(out, [[1.0, 0.5], [0.5, 2.0]], atol=1e-14)
+
+
+def test_ensure_symmetric_rejects_real_asymmetry():
+    with pytest.raises(ValueError, match="not symmetric"):
+        ensure_symmetric(np.array([[1.0, 0.3], [0.0, 1.0]]))
+    # the squares overflow at 1e200 and underflow at 1e-200; the check
+    # still sees the relative asymmetry of 0.471
+    for scale in (1e200, 1e-200):
+        with pytest.raises(ValueError, match=r"relative asymmetry 4\.714e-01"):
+            ensure_symmetric(np.array([[1.0, 0.0], [0.5, 1.0]]) * scale)
+
+
+def test_ensure_symmetric_rejects_nonsquare_and_nonfinite():
+    with pytest.raises(ValueError, match="square"):
+        ensure_symmetric(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        ensure_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        ensure_symmetric(np.array([[1.0, 0.0], [0.0, -np.inf]]))
+
+
+def test_ensure_symmetric_accepts_squares_that_overflow():
+    # finite entries whose squares overflow are not "non-finite"; the
+    # drift is checked on a power-of-two scaled copy, without a warning
+    mat = np.array([[1e200, 3e199], [3e199 * (1 + 1e-15), 1e200]])
+    out = ensure_symmetric(mat)
+    assert out.tobytes() == ((mat + mat.T) / 2.0).tobytes()
+    # mat + mat.T itself would overflow here
+    huge = np.diag([1.7e308, 1.0])
+    assert ensure_symmetric(huge).tobytes() == huge.tobytes()
 
 
 # ------------------------------------------------------------------- objective
@@ -590,6 +633,10 @@ def test_estimate_max_iterations():
 def test_estimator_config_validation():
     with pytest.raises(ValueError, match="tol"):
         EstimatorConfig(tol=0.0)
+    # an infinite tol would report every run converged after one iteration
+    for bad in (math.inf, np.float64(math.inf), math.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            EstimatorConfig(tol=bad)
     with pytest.raises(ValueError, match="max_iter"):
         EstimatorConfig(max_iter=0)
     # range() would take True as 1 and fail on 2.5 with a bare TypeError

@@ -12,8 +12,7 @@ from reference import (
     subset_loop_violations,
 )
 
-from subrec.estimator import fixed_point_step, objective, quadratic_forms
-from subrec.geometry import NotSPDError
+from subrec.estimator import NotSPDError, fixed_point_step, objective, quadratic_forms
 from subrec.oracles import (
     _CHUNK,
     EXHAUSTIVE_LIMIT,

@@ -1,4 +1,5 @@
-"""Subspace construction, projector algebra, and the PCA baseline."""
+"""Subspace construction, eigendecomposition, projector algebra, and the
+raw-moment (PCA) baseline."""
 
 import math
 import warnings
@@ -11,8 +12,8 @@ from subrec.estimator import estimate
 from subrec.subspace import (
     AmbiguousSubspaceWarning,
     Subspace,
+    _eigendecompose,
     _members,
-    pca_subspace,
     recovery_error,
     span_of_points,
     subspace_members,
@@ -62,6 +63,47 @@ def test_subspace_repairs_small_drift():
 def test_subspace_rejects(basis, match):
     with pytest.raises(ValueError, match=match):
         Subspace(basis)
+
+
+# ------------------------------------------------------------ eigendecompose
+
+
+def test_eigendecompose_diagonal():
+    vals, vecs = _eigendecompose(np.diag([0.1, 0.7, 0.2]))
+    np.testing.assert_allclose(vals, [0.7, 0.2, 0.1], atol=1e-15)
+    # columns are signed identity columns picking out positions 1, 2, 0
+    expected = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=float)
+    np.testing.assert_allclose(np.abs(vecs), expected, atol=1e-15)
+
+
+def test_eigendecompose_hand_2x2():
+    vals, vecs = _eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-14)
+    # eigenvectors are (1,1)/sqrt(2) and (1,-1)/sqrt(2) up to sign
+    assert abs(abs(vecs[:, 0] @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1) < 1e-14
+    assert abs(abs(vecs[:, 1] @ np.array([1.0, -1.0]) / math.sqrt(2)) - 1) < 1e-14
+
+
+def test_eigendecompose_identity_reconstruction_only():
+    # repeated eigenvalues leave the eigenvectors free, so only the
+    # reconstruction and orthonormality are checkable
+    vals, vecs = _eigendecompose(np.eye(4))
+    np.testing.assert_allclose(vals, np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose((vecs * vals) @ vecs.T, np.eye(4), atol=1e-12)
+
+
+def test_eigendecompose_random_roundtrip():
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        dim = int(rng.integers(2, 7))
+        mat = rng.standard_normal((dim, dim))
+        mat = (mat + mat.T) / 2.0
+        vals, vecs = _eigendecompose(mat)
+        assert np.all(np.diff(vals) <= 0.0)
+        scale = max(np.linalg.norm(mat), 1e-300)
+        assert np.linalg.norm((vecs * vals) @ vecs.T - mat) <= 1e-12 * scale
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(dim), atol=1e-12)
 
 
 # -------------------------------------------------------------- top_d_subspace
@@ -158,13 +200,13 @@ def test_recovery_error_dimension_mismatch():
         recovery_error(E1_R2, Subspace([[1.0], [0.0], [0.0]]))
 
 
-# ---------------------------------------------------------------- pca_subspace
+# ------------------------------------------------------- raw-moment baseline
 
 
 def test_pca_moment_example():
     data = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     # moment matrix diag(2, 0.5), top direction e1
-    assert recovery_error(pca_subspace(data, 1), E1_R2) < 1e-12
+    assert recovery_error(top_d_subspace(data.T @ data / len(data), 1), E1_R2) < 1e-12
 
 
 def test_pca_exact_low_rank():
@@ -172,7 +214,7 @@ def test_pca_exact_low_rank():
     coords = random_points(rng, 30, 2)
     data = np.column_stack([coords, np.zeros((30, 3))])
     truth = Subspace(np.eye(5)[:, :2])
-    assert recovery_error(pca_subspace(data, 2), truth) < 1e-9
+    assert recovery_error(top_d_subspace(data.T @ data / len(data), 2), truth) < 1e-9
 
 
 def test_pca_loses_to_the_estimator_on_contaminated_data():
@@ -181,29 +223,8 @@ def test_pca_loses_to_the_estimator_on_contaminated_data():
     )
     points, truth = generate(model)
     tyler_err = recovery_error(top_d_subspace(estimate(points).sigma, 5), truth)
-    pca_err = recovery_error(pca_subspace(points, 5), truth)
+    pca_err = recovery_error(top_d_subspace(points.T @ points / len(points), 5), truth)
     assert pca_err > tyler_err
-
-
-@pytest.mark.parametrize("scale", [1e160, 1e-170])
-def test_pca_at_extreme_scales(scale):
-    # the moment would overflow, or underflow into a tie at the cut
-    points, truth = generate(SyntheticModel(10, 5, 120, 100, seed=0))
-    expected = recovery_error(pca_subspace(points, 5), truth)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        found = pca_subspace(points * scale, 5)
-    assert abs(recovery_error(found, truth) - expected) <= 1e-12
-
-
-@pytest.mark.parametrize("scale", [1e-60, 1.0, 1e60])
-@pytest.mark.parametrize("tiny_row", [False, True])
-def test_pca_scales_nothing_at_ordinary_scales(scale, tiny_row):
-    data = random_points(np.random.default_rng(55), 30, 4) * scale
-    if tiny_row:
-        data[0] *= 1e-200  # scaled by the estimator, not by PCA
-    moment = data.T @ data / data.shape[0]
-    assert pca_subspace(data, 2).basis.tobytes() == top_d_subspace(moment, 2).basis.tobytes()
 
 
 # ------------------------------------------------- members and spans of points

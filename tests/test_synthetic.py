@@ -8,12 +8,7 @@ from reference import stacked_generate
 
 from subrec.estimator import fixed_point_step, objective
 from subrec.subspace import Subspace, span_of_points
-from subrec.synthetic import (
-    SyntheticModel,
-    general_position_check,
-    generate,
-    spherical_projection,
-)
+from subrec.synthetic import SyntheticModel, general_position_check, generate
 
 
 def residuals(points, subspace):
@@ -96,7 +91,7 @@ def test_generate_matches_the_stacking_path(shape, seed):
     # NumPy integers and floats are accepted and draw the same data
     typed = SyntheticModel(
         np.int64(ambient), np.int32(dim), np.uint16(n_in), np.int64(n_out),
-        noise=np.float64(noise), seed=np.uint32(seed), rotate=rotate,
+        noise=np.float64(noise), seed=np.uint32(seed), rotate=np.bool_(rotate),
     )
     assert generate(typed)[0].tobytes() == points.tobytes()
 
@@ -190,6 +185,10 @@ def test_noise_touches_every_point():
         dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, noise=True),
         dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, noise="0.1"),
         dict(ambient_dim=3, subspace_dim=1, n_inliers=1, n_outliers=0, seed=-1),
+        # any truthy rotate would rotate
+        dict(ambient_dim=4, subspace_dim=2, n_inliers=5, n_outliers=5, rotate="no"),
+        dict(ambient_dim=4, subspace_dim=2, n_inliers=5, n_outliers=5, rotate=1),
+        dict(ambient_dim=4, subspace_dim=2, n_inliers=5, n_outliers=5, rotate=None),
     ],
 )
 def test_model_validation(kwargs):
@@ -197,32 +196,7 @@ def test_model_validation(kwargs):
         SyntheticModel(**kwargs)
 
 
-# -------------------------------------------------------- spherical projection
-
-
-def test_spherical_projection_examples():
-    units = np.array([[1.0, 0.0], [0.0, -1.0]])
-    # the norms would underflow or overflow at the extreme scales
-    for scale in (1.0, 1e-170, 1e160):
-        out = spherical_projection(np.array([[3.0, 4.0]]) * scale)
-        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
-        np.testing.assert_allclose(spherical_projection(units * scale), units, atol=1e-15)
-    # one tiny row beside unit rows: its norm would underflow to 0
-    out = spherical_projection(np.array([[1.0, 0.0], [0.0, 1e-170], [2.0, 1.0]]))
-    np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 1.0], [0.8**0.5, 0.2**0.5]], atol=1e-15)
-
-
-def test_spherical_projection_normalizes():
-    rng = np.random.default_rng(60)
-    points = rng.standard_normal((30, 4)) * np.exp(rng.uniform(-3, 3, size=(30, 1)))
-    for scale in (1.0, 1e-170, 1e160):
-        out = spherical_projection(points * scale)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(30), atol=1e-12)
-
-
-def test_spherical_projection_rejects_zero():
-    with pytest.raises(ValueError, match="zero point"):
-        spherical_projection(np.array([[1.0, 0.0], [0.0, 0.0]]))
+# --------------------------------------------------- projection onto the sphere
 
 
 def test_spherical_projection_leaves_the_update_alone():
@@ -230,7 +204,7 @@ def test_spherical_projection_leaves_the_update_alone():
     points = rng.standard_normal((30, 4))
     sigma = np.eye(4) / 4
     base = fixed_point_step(sigma, points)
-    projected = fixed_point_step(sigma, spherical_projection(points))
+    projected = fixed_point_step(sigma, points / np.linalg.norm(points, axis=1)[:, None])
     assert np.linalg.norm(base - projected) < 1e-12
 
 
@@ -240,8 +214,9 @@ def test_spherical_projection_shifts_cost_by_data_constant():
     rng = np.random.default_rng(62)
     points = rng.standard_normal((25, 3))
     sigma = np.eye(3) / 3
-    shift = 2.0 * np.mean(np.log(np.linalg.norm(points, axis=1)))
-    diff = objective(sigma, spherical_projection(points)) - objective(sigma, points)
+    norms = np.linalg.norm(points, axis=1)
+    shift = 2.0 * np.mean(np.log(norms))
+    diff = objective(sigma, points / norms[:, None]) - objective(sigma, points)
     assert abs(diff + shift) < 1e-12
 
 
