@@ -19,9 +19,12 @@ through its breakdown handling instead of failing.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -78,6 +81,10 @@ _BLOCK = 1536
 # stable to about D eps eig_max, cannot read as collapsed: estimate skips it.
 _EIGENSOLVE_AT = 1.0 / (1e4 * SPD_RTOL)
 
+# estimate runs on one SciPy BLAS thread below this D * D * rows of its pass
+# block: at N = 20 000 one thread won up to D = 44, two from 48 (BENCH_threads.json).
+_ONE_THREAD_BELOW = 3 * 2**20
+
 
 def _linalg_extension(name):
     """SciPy's compiled module ``scipy.linalg.<name>``, loaded from its file."""
@@ -103,6 +110,46 @@ def _linalg_extension(name):
 _fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
 _TRMM, _SYRK, _GEMV, _DOT = _fblas.dtrmm, _fblas.dsyrk, _fblas.dgemv, _fblas.ddot
 _POTRF, _TRTRI, _SYEV = _flapack.dpotrf, _flapack.dtrtri, _flapack.dsyev
+
+
+class _OneBlasThread:
+    """Holds SciPy's OpenBLAS at one thread while entered.  The count is
+    process-wide: of overlapping holders the first saves it, the last restores it."""
+
+    def __init__(self, get, put):
+        self.get, self.put, self.lock = get, put, threading.Lock()
+        self.holders = self.saved = 0
+
+    def __enter__(self):
+        with self.lock:
+            if not self.holders:
+                self.saved = self.get()
+                self.put(1)
+            self.holders += 1
+
+    def __exit__(self, *exc_info):
+        with self.lock:
+            self.holders -= 1
+            if not self.holders:
+                self.put(self.saved)
+
+
+def _one_blas_thread():
+    """A :class:`_OneBlasThread` for the OpenBLAS that the SciPy wheel bundles
+    in ``scipy.libs``, or None where that library or its symbols are missing."""
+    libs = os.path.join(os.path.dirname(scipy.__path__[0]), "scipy.libs")
+    try:
+        name = min(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, ValueError, AttributeError):  # no directory, no library, no symbol
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return _OneBlasThread(get, put)
+
+
+_ONE_BLAS_THREAD = _one_blas_thread()
 
 
 def _check_number(name, value, least=None, integer=True):
@@ -325,7 +372,8 @@ def _pass(inverse, points, moment, q, scratch):
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
     # which pays for inverting the factor (D^3/3 flops).  The column sums
     # of the squared product are a BLAS product with a vector of ones,
-    # summed in an order the library fixes at a fixed thread count.  The
+    # summed in an order the library fixes at a fixed thread count, as it
+    # fixes the moment's; estimate holds small solves at one thread.  The
     # rows go in blocks of _BLOCK, each one's forms and moment terms made
     # while it is in cache.
     n, dim = points.shape
@@ -481,17 +529,25 @@ def estimate(data, config=None, observer=None):
     rows B: one pass makes an iterate's quadratic forms and, unless the
     run stops at that iterate, the next iterate.  A solve allocates its
     scratch once, the forms and one (D, B) array, not a copy of the data.
+
+    A solve with ``D * D * min(N, B)`` below 3 * 2**20 runs on one SciPy
+    BLAS thread, so its bits do not depend on ``OPENBLAS_NUM_THREADS``, and
+    then restores the caller's count.  The count is process-wide: SciPy BLAS
+    calls on other threads run on one thread meanwhile too.  Larger solves,
+    and every solve on a SciPy without an OpenBLAS under ``scipy.libs``,
+    run on the caller's count.
     """
     points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
     forms, scratch = _scratch(n, dim)
+    pin = _ONE_BLAS_THREAD if dim * dim * min(n, _BLOCK) < _ONE_THREAD_BELOW else None
 
     # the loop checks every result itself, so numpy's warnings are off in
     # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
-    with np.errstate(all="ignore"):
+    with pin or contextlib.nullcontext(), np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
         candidate = _pass(_cholesky(sigma)[1], points, True, forms, scratch)[1]
         termination = Termination.MAX_ITERATIONS

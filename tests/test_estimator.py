@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -38,6 +39,7 @@ from subrec.estimator import (
     objective,
     quadratic_forms,
 )
+from subrec.experiments import exact_recovery_sweep
 from subrec.oracles import majorization_gap
 from subrec.subspace import Subspace, recovery_error, top_d_subspace
 from subrec.synthetic import SyntheticModel, generate
@@ -941,35 +943,154 @@ def test_missing_linalg_extension_names_its_directory():
         subrec.estimator._linalg_extension("_fnone")
 
 
-# Solves one (6 000, 60) set, several blocks of rows, and prints sigma's
-# bytes, the iteration count and the termination.
+# Solves the set of SyntheticModel(D, d, n_inliers, n_outliers, seed=4,
+# rotate=True) and prints sigma's bytes, the iteration count and the
+# termination.
 _SOLVE = """
-from subrec.estimator import _BLOCK, estimate
+from subrec.estimator import estimate
 from subrec.synthetic import SyntheticModel, generate
 
-points, _ = generate(SyntheticModel(60, 6, 3000, 3000, seed=4, rotate=True))
-assert points.shape[0] > 2 * _BLOCK
+points, _ = generate(SyntheticModel({}, {}, {}, {}, seed=4, rotate=True))
 result = estimate(points)
 print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
 """
+
+
+def _solve_in_fresh_process(model, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    package_root = str(Path(subrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _SOLVE.format(*model)],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_estimate_repeats_at_a_fixed_blas_thread_count(threads):
     # the moment sums N terms block by block, in an order that can depend
     # on the BLAS thread count, but not from one run to the next at a fixed
-    # count
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-    package_root = str(Path(subrec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-c", _SOLVE], capture_output=True, text=True, env=env, check=True
-        ).stdout.split()
-        for _ in range(2)
-    ]
+    # count; (6 000, 60) is several blocks of rows, above the one-thread cut
+    assert 6000 > 2 * _BLOCK and 60 * 60 * _BLOCK >= subrec.estimator._ONE_THREAD_BELOW
+    outputs = [_solve_in_fresh_process((60, 6, 3000, 3000), threads) for _ in range(2)]
     assert outputs[0] == outputs[1]
     assert outputs[0][2] == "converged"
+
+
+# SciPy's OpenBLAS thread count, through the solver's own functions
+_PIN = subrec.estimator._ONE_BLAS_THREAD
+needs_pin = pytest.mark.skipif(_PIN is None, reason="no OpenBLAS under scipy.libs")
+
+
+@pytest.fixture
+def caller_count():
+    """SciPy's BLAS count set to 2 for the test, then put back."""
+    before = _PIN.get()
+    _PIN.put(2)
+    yield 2
+    _PIN.put(before)
+
+
+@needs_pin
+def test_small_estimate_gives_the_same_bits_at_any_blas_thread_count():
+    # (1 400, 20) is one block below the cut, whose moment OpenBLAS sums in
+    # another order on two threads than on one.  The runs are compared with
+    # each other only: bits depend on the machine's OpenBLAS kernel.
+    assert 20 * 20 * 1400 < subrec.estimator._ONE_THREAD_BELOW
+    one, two = (_solve_in_fresh_process((20, 2, 700, 700), threads) for threads in ("1", "2"))
+    assert one == two
+
+
+@needs_pin
+def test_only_small_solves_run_on_one_blas_thread(caller_count):
+    seen = []
+
+    def observer(sigma, record):
+        seen.append(_PIN.get())
+
+    points, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    estimate(points, observer=observer)
+    assert seen and set(seen) == {1}
+    assert (_PIN.get(), _PIN.holders) == (caller_count, 0)
+
+    seen.clear()
+    points, _ = generate(SyntheticModel(48, 4, 800, 800, seed=1))
+    assert 48 * 48 * _BLOCK >= subrec.estimator._ONE_THREAD_BELOW
+    estimate(points, EstimatorConfig(max_iter=3), observer=observer)
+    assert seen and set(seen) == {caller_count}
+
+
+@needs_pin
+def test_blas_thread_count_is_restored_after_an_observer_raises(caller_count):
+    def observer(sigma, record):
+        raise KeyError("stop")
+
+    points, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    with pytest.raises(KeyError, match="stop"):
+        estimate(points, observer=observer)
+    assert (_PIN.get(), _PIN.holders) == (caller_count, 0)
+
+
+@needs_pin
+def test_blas_thread_count_is_restored_after_overlapping_sweep_trials(
+    monkeypatch, caller_count
+):
+    seen = []
+
+    def watched(points, config, observer=None):
+        return estimate(points, config, lambda sigma, record: seen.append(_PIN.get()))
+
+    monkeypatch.setattr(subrec.experiments, "estimate", watched)
+    exact_recovery_sweep(10, 5, 100, [100, 120], trials=6, seed=3, threads=2)
+    assert seen and set(seen) == {1}
+    assert (_PIN.get(), _PIN.holders) == (caller_count, 0)
+
+
+def test_one_blas_thread_holders_share_one_save_and_restore():
+    # one saved count for any overlap of holders: a lost update of the
+    # holder count or a save made while pinned would leave the count at 1
+    count = [3]
+    pin = subrec.estimator._OneBlasThread(lambda: count[0], lambda n: count.__setitem__(0, n))
+    seen = []
+
+    def hold():
+        for _ in range(2000):
+            with pin:
+                seen.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hold) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(seen) == 8 * 2000 and set(seen) == {1}
+    assert (count[0], pin.holders) == (3, 0)
+
+
+def test_estimate_gives_the_same_bits_without_the_one_thread_pin(monkeypatch):
+    points, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    pinned = estimate(points)
+    monkeypatch.setattr(subrec.estimator, "_ONE_BLAS_THREAD", None)
+    plain = estimate(points)
+    assert pinned.sigma.tobytes() == plain.sigma.tobytes()
+    assert (pinned.iterations, pinned.termination) == (plain.iterations, plain.termination)
+
+
+@pytest.mark.parametrize("library", [None, "", "libscipy_openblas-0.so"])
+def test_no_one_thread_pin_without_the_bundled_openblas(monkeypatch, tmp_path, library):
+    # no scipy.libs directory, no library in it, a file that does not load
+    if library is not None:
+        (tmp_path / "scipy.libs").mkdir()
+        if library:
+            (tmp_path / "scipy.libs" / library).write_bytes(b"not a library")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path / "scipy")])
+    assert subrec.estimator._one_blas_thread() is None
 
 
 # ------------------------------------------------- geodesic convexity of the cost
