@@ -81,8 +81,8 @@ _BLOCK = 1536
 # stable to about D eps eig_max, cannot read as collapsed: estimate skips it.
 _EIGENSOLVE_AT = 1.0 / (1e4 * SPD_RTOL)
 
-# estimate runs on one SciPy BLAS thread below this D * D * rows of its pass
-# block: at N = 20 000 one thread won up to D = 44, two from 48 (BENCH_threads.json).
+# A pass over data with D * D * rows of a block below this runs on one SciPy
+# BLAS thread: at N = 20 000 one won up to D = 44, two from 48 (BENCH_threads.json).
 _ONE_THREAD_BELOW = 3 * 2**20
 
 
@@ -117,8 +117,7 @@ class _OneBlasThread:
     process-wide: of overlapping holders the first saves it, the last restores it."""
 
     def __init__(self, get, put):
-        self.get, self.put, self.lock = get, put, threading.Lock()
-        self.holders = self.saved = 0
+        self.get, self.put, self.lock, self.holders = get, put, threading.Lock(), 0
 
     def __enter__(self):
         with self.lock:
@@ -144,12 +143,16 @@ def _one_blas_thread():
         get, put = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
     except (OSError, ValueError, AttributeError):  # no directory, no library, no symbol
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return _OneBlasThread(get, put)
+    return _OneBlasThread(get, put)  # ctypes' default int result and argument
 
 
 _ONE_BLAS_THREAD = _one_blas_thread()
+
+
+def _blas_threads(n, dim):
+    """The one-thread hold for a pass over (n, dim) data below the cut, else a no-op."""
+    small = dim * dim * min(n, _BLOCK) < _ONE_THREAD_BELOW
+    return _ONE_BLAS_THREAD if small and _ONE_BLAS_THREAD else contextlib.nullcontext()
 
 
 def _check_number(name, value, least=None, integer=True):
@@ -339,10 +342,11 @@ def _factor(sigma, points, who, moment=False):
         raise ValueError(
             f"shape mismatch: sigma is {sigma.shape[0]}-dimensional, data is {dim}-dimensional"
         )
-    factors = _cholesky(sigma)
-    if factors is None:
-        raise NotSPDError(f"{who}: sigma is not positive definite")
-    with np.errstate(all="ignore"):  # the callers check the forms and the moment
+    # the callers check the forms and the moment
+    with _blas_threads(*points.shape), np.errstate(all="ignore"):
+        factors = _cholesky(sigma)
+        if factors is None:
+            raise NotSPDError(f"{who}: sigma is not positive definite")
         return (factors[0], *_pass(factors[1], points, moment, *_scratch(*points.shape)))
 
 
@@ -372,8 +376,7 @@ def _pass(inverse, points, moment, q, scratch):
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
     # which pays for inverting the factor (D^3/3 flops).  The column sums
     # of the squared product are a BLAS product with a vector of ones,
-    # summed in an order the library fixes at a fixed thread count, as it
-    # fixes the moment's; estimate holds small solves at one thread.  The
+    # summed in an order fixed at a fixed thread count (see _blas_threads).  The
     # rows go in blocks of _BLOCK, each one's forms and moment terms made
     # while it is in cache.
     n, dim = points.shape
@@ -530,24 +533,22 @@ def estimate(data, config=None, observer=None):
     run stops at that iterate, the next iterate.  A solve allocates its
     scratch once, the forms and one (D, B) array, not a copy of the data.
 
-    A solve with ``D * D * min(N, B)`` below 3 * 2**20 runs on one SciPy
-    BLAS thread, so its bits do not depend on ``OPENBLAS_NUM_THREADS``, and
-    then restores the caller's count.  The count is process-wide: SciPy BLAS
-    calls on other threads run on one thread meanwhile too.  Larger solves,
-    and every solve on a SciPy without an OpenBLAS under ``scipy.libs``,
-    run on the caller's count.
+    Below ``D * D * min(N, B)`` = 3 * 2**20 the solve, like the one-call
+    helpers, runs on one SciPy BLAS thread and then restores the caller's
+    count.  The count is process-wide: while a small call runs, a larger
+    solve on another thread runs on one thread too, so its bits are fixed
+    at a fixed count only when no small call overlaps it (README).
     """
     points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
     n, dim = points.shape
     forms, scratch = _scratch(n, dim)
-    pin = _ONE_BLAS_THREAD if dim * dim * min(n, _BLOCK) < _ONE_THREAD_BELOW else None
 
     # the loop checks every result itself, so numpy's warnings are off in
     # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
-    with pin or contextlib.nullcontext(), np.errstate(all="ignore"):
+    with _blas_threads(n, dim), np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
         candidate = _pass(_cholesky(sigma)[1], points, True, forms, scratch)[1]
         termination = Termination.MAX_ITERATIONS

@@ -4,9 +4,8 @@ Each driver generates seeded synthetic data, runs the estimator, and
 returns plain rows ready for CSV output.  Trials are independent, use
 ``seed + trial_index``, and run on the calling thread unless a sweep is
 given ``threads > 1``; results are merged by trial index, so thread
-count never changes the numbers.  Pool trials that overlap share
-:func:`~subrec.estimator.estimate`'s hold of SciPy's BLAS at one thread
-on small sets: the first saves the count, the last restores it.
+count never changes the numbers.  Overlapping trials on small sets share
+one hold of SciPy's BLAS at one thread (:func:`~subrec.estimator.estimate`).
 """
 
 from __future__ import annotations

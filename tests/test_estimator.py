@@ -956,12 +956,28 @@ print(result.sigma.tobytes().hex(), result.iterations, result.termination.value)
 """
 
 
-def _solve_in_fresh_process(model, threads):
+# Keeps every iterate of estimate on the same set and checks that each is
+# fixed_point_step of the one before, from I/D; prints the iterate count.
+_WALK = """
+import numpy as np
+from subrec.estimator import estimate, fixed_point_step
+from subrec.synthetic import SyntheticModel, generate
+
+points, _ = generate(SyntheticModel({}, {}, {}, {}, seed=4, rotate=True))
+kept = [np.eye(points.shape[1]) / points.shape[1]]
+estimate(points, observer=lambda sigma, record: kept.append(sigma))
+for k, (before, after) in enumerate(zip(kept, kept[1:]), 1):
+    assert np.array_equal(after, fixed_point_step(before, points)), k
+print(len(kept) - 1)
+"""
+
+
+def _solve_in_fresh_process(model, threads, script=_SOLVE):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     package_root = str(Path(subrec.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", _SOLVE.format(*model)],
+        [sys.executable, "-c", script.format(*model)],
         capture_output=True, text=True, env=env, check=True,
     ).stdout.split()
 
@@ -1001,6 +1017,14 @@ def test_small_estimate_gives_the_same_bits_at_any_blas_thread_count():
     assert one == two
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_small_estimate_is_the_public_step_at_any_blas_thread_count(threads):
+    # the loop and the one-call helpers take the BLAS count by the same size
+    # rule, so on (1 400, 20), below the cut, every iterate is the public
+    # step of the one before at either count
+    assert int(_solve_in_fresh_process((20, 2, 700, 700), threads, _WALK)[0]) > 1
+
+
 @needs_pin
 def test_only_small_solves_run_on_one_blas_thread(caller_count):
     seen = []
@@ -1018,6 +1042,63 @@ def test_only_small_solves_run_on_one_blas_thread(caller_count):
     assert 48 * 48 * _BLOCK >= subrec.estimator._ONE_THREAD_BELOW
     estimate(points, EstimatorConfig(max_iter=3), observer=observer)
     assert seen and set(seen) == {caller_count}
+
+
+@needs_pin
+@pytest.mark.parametrize("shape, small", [((10, 5, 120, 100), True), ((48, 4, 800, 800), False)])
+def test_one_call_helpers_take_the_blas_count_by_the_solve_rule(
+    monkeypatch, caller_count, shape, small
+):
+    seen, kernel = [], subrec.estimator._pass
+
+    def watched(*args):
+        seen.append(_PIN.get())
+        return kernel(*args)
+
+    points, _ = generate(SyntheticModel(*shape, seed=2))
+    sigma = np.eye(shape[0]) / shape[0]
+    monkeypatch.setattr(subrec.estimator, "_pass", watched)
+    quadratic_forms(sigma, points)
+    objective(sigma, points)
+    fixed_point_step(sigma, points)
+    majorization_gap(sigma, 2 * sigma, points)
+    assert seen == [1 if small else caller_count] * 5
+    assert (_PIN.get(), _PIN.holders) == (caller_count, 0)
+
+
+@needs_pin
+def test_small_and_large_solves_side_by_side(caller_count):
+    # a small solve holds the process at one thread while a large one runs
+    # beside it: the small one keeps its bits, the large one its iterations
+    # and, at some thread count between one and the caller's, close values
+    small, _ = generate(SyntheticModel(10, 5, 120, 100, seed=0))
+    large, _ = generate(SyntheticModel(48, 4, 800, 800, seed=1))
+    config = EstimatorConfig(max_iter=40)
+    alone_small, alone_large = estimate(small), estimate(large, config)
+    beside, done = [], threading.Event()
+
+    def solve_small():
+        while not done.is_set() or not beside:
+            beside.append(estimate(small))
+
+    worker = threading.Thread(target=solve_small)
+    worker.start()
+    try:
+        together = estimate(large, config)
+    finally:
+        done.set()
+        worker.join(timeout=60)
+    assert not worker.is_alive() and beside
+
+    def outcome(result):
+        return result.iterations, result.termination
+
+    for result in beside:
+        assert result.sigma.tobytes() == alone_small.sigma.tobytes()
+        assert outcome(result) == outcome(alone_small)
+    assert outcome(together) == outcome(alone_large)
+    np.testing.assert_allclose(together.sigma, alone_large.sigma, rtol=1e-10, atol=1e-14)
+    assert (_PIN.get(), _PIN.holders) == (caller_count, 0)
 
 
 @needs_pin
