@@ -2,10 +2,7 @@
 
 Each driver generates seeded synthetic data, runs the estimator, and
 returns plain rows ready for CSV output.  Trials are independent, use
-``seed + trial_index``, and run on the calling thread unless a sweep is
-given ``threads > 1``; results are merged by trial index, so thread
-count never changes the numbers.  Overlapping trials on small sets share
-one hold of SciPy's BLAS at one thread (:func:`~subrec.estimator.estimate`).
+``seed + trial_index``, and run in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -59,24 +56,18 @@ def recovery_trial(
     return recovery_error(found, truth)
 
 
-def _sweep(field, values, trials, seed, threads, **fixed):
+def _sweep(field, kind, values, trials, seed, **fixed):
     """``(value, mean, std)`` recovery-error rows as the :func:`recovery_trial`
-    argument ``field`` takes each of ``values``; trial ``i`` uses ``seed + i``,
-    on up to ``threads`` threads."""
+    argument ``field`` takes each of ``values`` as a ``kind`` (int counts at
+    least 0, or float); trial ``i`` uses ``seed + i``."""
     _check_number("trials", trials, least=1)
-    rows = []
+    values = list(values)
     for value in values:
+        _check_number(field, value, least=0 if kind is int else None, integer=kind is int)
+    rows = []
+    for value in map(kind, values):
         # recovery_trial is looked up per call, so a wrapped one sees every trial
-        def trial(i):
-            return recovery_trial(seed=seed + i, **fixed, **{field: value})
-        if threads <= 1:
-            errors = [trial(i) for i in range(trials)]
-        else:
-            # imported here: the CLI never passes threads, and it costs ~15 ms
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                errors = list(pool.map(trial, range(trials)))
+        errors = [recovery_trial(seed=seed + i, **fixed, **{field: value}) for i in range(trials)]
         rows.append((value, float(np.mean(errors)), float(np.std(errors))))
     return rows
 
@@ -95,10 +86,12 @@ def exact_recovery_sweep(
     """Mean recovery error as the inlier count sweeps across the transition,
     on noiseless data.
 
-    Returns one ``(n_inliers, mean, std, trials)`` row per count.
+    Returns one ``(n_inliers, mean, std, trials)`` row per count.  Trials
+    run in order on the calling thread; ``threads`` is accepted and ignored,
+    and goes when the benchmark stops passing it (ROADMAP item 4).
     """
     rows = _sweep(
-        "n_inliers", [int(n) for n in inlier_counts], trials, seed, threads,
+        "n_inliers", int, inlier_counts, trials, seed,
         ambient_dim=ambient_dim, subspace_dim=subspace_dim, n_outliers=n_outliers,
         noise=0.0, tol=tol, max_iter=max_iter,
     )
@@ -149,11 +142,10 @@ def noise_sweep(
     seed,
     tol=DEFAULT_TOL,
     max_iter=DEFAULT_MAX_ITER,
-    threads=1,
 ):
     """Mean recovery error per noise level; one ``(epsilon, mean, std)`` row each."""
     return _sweep(
-        "noise", [float(e) for e in noise_levels], trials, seed, threads,
+        "noise", float, noise_levels, trials, seed,
         ambient_dim=ambient_dim, subspace_dim=subspace_dim, n_inliers=n_inliers,
         n_outliers=n_outliers, tol=tol, max_iter=max_iter,
     )

@@ -21,7 +21,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .estimator import NotSPDError, _factor, _prepare, _singular
+from .estimator import NotSPDError, _check_number, _factor, _prepare, _singular
 from .subspace import Subspace, _members, _rank
 
 __all__ = [
@@ -129,6 +129,7 @@ def uniqueness_condition(data, seed=0):
     checked and the report says so.  Candidates are tested in stacked
     chunks; the report names the first violator in enumeration order.
     """
+    _check_number("seed", seed, least=0)
     points, _ = _prepare(data)
     n, dim = points.shape
     method, subsets = iter_subsets(

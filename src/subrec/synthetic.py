@@ -122,6 +122,7 @@ def general_position_check(data, truth, seed=0):
     Each row is first scaled by a power of two as :func:`~subrec.estimator.estimate`
     scales it, so the ranks depend on the rows' directions alone.
     """
+    _check_number("seed", seed, least=0)
     points, _ = _prepare(data)
     inside = subspace_members(points, truth)  # checks the dimensions
     member_coords = points[inside] @ truth.basis

@@ -779,8 +779,7 @@ def test_installed_entry_point():
 
 def test_cli_import_leaves_scipy_linalg_and_the_trial_pool_out():
     # a fresh process: subrec loads SciPy's compiled BLAS and LAPACK
-    # wrappers without the Python layer of scipy.linalg, and the sweeps
-    # import their thread pool only when given threads
+    # wrappers without the Python layer of scipy.linalg, and no thread pool
     probe = (
         "import sys, subrec.cli\n"
         "print(sorted({'scipy.linalg', 'concurrent.futures'} & set(sys.modules)))\n"

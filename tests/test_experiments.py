@@ -1,9 +1,12 @@
 """Experiment drivers: seeding, row shapes, thread independence."""
 
+import threading
+
 import numpy as np
 import pytest
 
 import subrec.estimator
+import subrec.experiments
 from subrec.estimator import Termination
 from subrec.experiments import (
     convergence_run,
@@ -42,6 +45,15 @@ def test_sweep_rows():
         with pytest.raises(ValueError, match="trials must be an integer"):
             noise_sweep(4, 2, 12, 6, [0.0], trials=bad, seed=3)
     assert exact_recovery_sweep(4, 2, 6, [6, 14], trials=np.int64(3), seed=2) == rows
+    # grid values are checked before they are converted, so 8.7 inliers or a
+    # "0.01" noise level is an error; NumPy ints give the same rows
+    assert exact_recovery_sweep(4, 2, 6, np.array([6, 14]), trials=3, seed=2) == rows
+    for bad in (8.7, True, "8", None):
+        with pytest.raises(ValueError, match="n_inliers must be an integer"):
+            exact_recovery_sweep(4, 2, 6, [6, bad], trials=3, seed=2)
+    for bad in ("0.01", True, None):
+        with pytest.raises(ValueError, match="noise must be a number"):
+            noise_sweep(4, 2, 12, 6, [0.0, bad], trials=2, seed=3)
 
 
 def test_sweep_is_thread_count_independent():
@@ -49,6 +61,22 @@ def test_sweep_is_thread_count_independent():
     serial = exact_recovery_sweep(4, 2, 6, [8, 12], threads=1, **kwargs)
     threaded = exact_recovery_sweep(4, 2, 6, [8, 12], threads=4, **kwargs)
     assert serial == threaded
+
+
+def test_sweep_trials_run_in_order_on_the_calling_thread(monkeypatch):
+    # the threads keyword is accepted and ignored; noise_sweep has none
+    calls = []
+
+    def trial(seed, n_inliers, **fixed):
+        calls.append((threading.get_ident(), n_inliers, seed))
+        return 0.0
+
+    monkeypatch.setattr(subrec.experiments, "recovery_trial", trial)
+    exact_recovery_sweep(4, 2, 6, [8, 12], trials=3, seed=7, threads=4)
+    me = threading.get_ident()
+    assert calls == [(me, n, seed) for n in (8, 12) for seed in (7, 8, 9)]
+    with pytest.raises(TypeError, match="threads"):
+        noise_sweep(4, 2, 12, 6, [0.0], trials=2, seed=3, threads=2)
 
 
 def test_sweep_matches_manual_trials():
@@ -96,6 +124,8 @@ def test_convergence_run_makes_no_eigensolve_on_an_interior_set(monkeypatch):
 
 def test_noise_sweep_rows():
     rows = noise_sweep(4, 2, 12, 6, [0.0, 1e-2], trials=2, seed=3)
+    assert noise_sweep(4, 2, 12, 6, np.array([0, 1e-2]), trials=2, seed=3) == rows
+    assert noise_sweep(4, 2, 12, 6, [0, np.float64(1e-2)], trials=2, seed=3) == rows
     assert len(rows) == 2
     assert rows[0][0] == 0.0 and rows[1][0] == 1e-2
     # the clean endpoint recovers exactly, the noisy one does not

@@ -166,6 +166,15 @@ def test_uniqueness_randomized_on_larger_set():
     report = uniqueness_condition(points, seed=1)
     assert report.method == "randomized"
     assert report.holds
+    # None would draw from fresh entropy, so the check would not repeat
+    for bad, message in [
+        (None, "seed must be an integer"),
+        (2.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            uniqueness_condition(points, seed=bad)
 
 
 def test_uniqueness_matches_subset_loop_on_seeded_sets():

@@ -237,6 +237,15 @@ def test_general_position_rejects_duplicate_outliers():
     assert not general_position_check(points, truth)
     with pytest.raises(ValueError, match="points live in dimension 2, subspace in 3"):
         general_position_check(points[:, :2], truth)
+    # None would draw from fresh entropy, so a randomized check would not repeat
+    for bad, message in [
+        (None, "seed must be an integer"),
+        (2.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            general_position_check(points, truth, seed=bad)
 
 
 def test_general_position_on_generated_data():
