@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
 import math
 import os
 import threading
@@ -227,9 +226,9 @@ class EstimateResult:
 def check_points(data):
     """Validate a data set and return it as a float ``(N, D)`` array.
 
-    Rejects non-2d input, empty axes, non-finite entries, and zero rows
-    (a zero point has an undefined direction and breaks every quadratic
-    form the estimator relies on).
+    Rejects complex or non-2d input, empty axes, non-finite entries, and
+    zero rows (a zero point has an undefined direction and breaks every
+    quadratic form the estimator relies on).
     """
     return _validate(data)[0]
 
@@ -238,7 +237,10 @@ def _validate(data):
     """``(points, top)``: the array :func:`check_points` returns and each
     row's largest magnitude, or None for ``top`` when the row norms show
     that :func:`_prepare` scales no row."""
-    points = np.asarray(data, dtype=float)
+    points = np.asarray(data)
+    if points.dtype.kind == "c":  # the cast would keep the real part alone
+        raise ValueError(f"data must be real, got {points.dtype}")
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
     n, dim = points.shape
@@ -361,7 +363,7 @@ def _cholesky(sigma):
     return None if info else (lower, inverse)
 
 
-def _pass(inverse, points, moment, q, scratch):
+def _pass(inverse, points, moment, q, scratch, ones):
     """One pass over the data for the inverse of sigma's Cholesky factor L:
     ``(q, step)``.
 
@@ -375,7 +377,7 @@ def _pass(inverse, points, moment, q, scratch):
     # OpenBLAS multiplies by a triangular matrix about twice as fast as it
     # solves with one on the same N right-hand sides (D = 200, N = 40 000),
     # which pays for inverting the factor (D^3/3 flops).  The column sums
-    # of the squared product are a BLAS product with a vector of ones,
+    # of the squared product are a BLAS product with the vector ``ones``,
     # summed in an order fixed at a fixed thread count (see _blas_threads).  The
     # rows go in blocks of _BLOCK, each one's forms and moment terms made
     # while it is in cache.
@@ -391,7 +393,7 @@ def _pass(inverse, points, moment, q, scratch):
         np.multiply(y, y, out=y)  # an overflow warns unless the caller ignores it
         # beta, y, offx, incx, offy, incy, trans, overwrite_y: the sums of
         # y's columns, written into q from row start on
-        _GEMV(1.0, y, _ones(dim), 0.0, q, 0, 1, start, 1, 1, 1)
+        _GEMV(1.0, y, ones, 0.0, q, 0, 1, start, 1, 1, 1)
         if moment:
             # syrk adds the lower triangle of S S' for S = rows / sqrt(q) to
             # its own, at half a general product's flops (beta, c, trans,
@@ -410,13 +412,8 @@ def _pass(inverse, points, moment, q, scratch):
 
 
 def _scratch(n, dim):
-    """The forms and block of :func:`_pass`; zeros, so a BLAS that scales q by 0 reads no NaN."""
-    return np.zeros(n), np.empty((dim, min(n, _BLOCK)), order="F")
-
-
-@functools.lru_cache(maxsize=16)
-def _ones(dim):
-    return np.ones(dim)  # shared by every call; gemv only reads it
+    """Forms, block and ones of :func:`_pass`; zero forms: a BLAS scaling q by 0 reads no NaN."""
+    return np.zeros(n), np.empty((dim, min(n, _BLOCK)), order="F"), np.ones(dim)
 
 
 def _singular(q):
@@ -531,7 +528,7 @@ def estimate(data, config=None, observer=None):
     Each iteration reads the data once, in blocks of a fixed number of
     rows B: one pass makes an iterate's quadratic forms and, unless the
     run stops at that iterate, the next iterate.  A solve allocates its
-    scratch once, the forms and one (D, B) array, not a copy of the data.
+    scratch once, the forms, one (D, B) array and D ones, not a copy of the data.
 
     Below ``D * D * min(N, B)`` = 3 * 2**20 the solve, like the one-call
     helpers, runs on one SciPy BLAS thread and then restores the caller's
@@ -539,18 +536,20 @@ def estimate(data, config=None, observer=None):
     solve on another thread runs on one thread too, so its bits are fixed
     at a fixed count only when no small call overlaps it (README).
     """
-    points, offset = _prepare(data)
     if config is None:
         config = EstimatorConfig()
+    elif not isinstance(config, EstimatorConfig):
+        raise ValueError(f"config must be an EstimatorConfig, got {type(config).__name__}")
+    points, offset = _prepare(data)
     n, dim = points.shape
-    forms, scratch = _scratch(n, dim)
+    buffers = _scratch(n, dim)
 
     # the loop checks every result itself, so numpy's warnings are off in
     # one scope per call; the observer runs under the caller's error state
     caller = np.geterr()
     with _blas_threads(n, dim), np.errstate(all="ignore"):
         sigma = np.eye(dim) / dim
-        candidate = _pass(_cholesky(sigma)[1], points, True, forms, scratch)[1]
+        candidate = _pass(_cholesky(sigma)[1], points, True, *buffers)[1]
         termination = Termination.MAX_ITERATIONS
         iterations = 0
 
@@ -579,7 +578,7 @@ def estimate(data, config=None, observer=None):
                 converged = rel_step < config.tol
                 last = converged or collapsed or k == config.max_iter
                 if not info:
-                    q, following = _pass(inverse, points, not last, forms, scratch)
+                    q, following = _pass(inverse, points, not last, *buffers)
                     # finite exactly when every form is in (0, inf): log(0) = -inf, log(-1) = nan
                     log_sum = np.add.reduce(np.log(q))
             if not math.isfinite(log_sum):

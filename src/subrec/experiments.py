@@ -61,6 +61,7 @@ def _sweep(field, kind, values, trials, seed, **fixed):
     argument ``field`` takes each of ``values`` as a ``kind`` (int counts at
     least 0, or float); trial ``i`` uses ``seed + i``."""
     _check_number("trials", trials, least=1)
+    _check_number("seed", seed, least=0)
     values = list(values)
     for value in values:
         _check_number(field, value, least=0 if kind is int else None, integer=kind is int)

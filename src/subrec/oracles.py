@@ -22,7 +22,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .estimator import NotSPDError, _check_number, _factor, _prepare, _singular
-from .subspace import Subspace, _members, _rank
+from .subspace import Subspace, _members, _rank, subspace_members
 
 __all__ = [
     "EXHAUSTIVE_LIMIT",
@@ -142,8 +142,8 @@ def uniqueness_condition(data, seed=0):
         for order, idx in chunk:
             u, s, _ = np.linalg.svd(points[idx].transpose(0, 2, 1), full_matrices=False)
             ranks = _rank(s)
-            # sizes stop at D-1, so every rank is below D
-            for rank in np.unique(ranks[ranks > 0]):
+            # sizes stop at D-1 and prepared rows are nonzero, so every rank is in 1..D-1
+            for rank in np.unique(ranks):
                 hit = np.flatnonzero(ranks == rank)
                 basis = u[hit, :, :rank]
                 counts = np.count_nonzero(_members(points, basis, scratch), axis=1)
@@ -172,13 +172,9 @@ def recovery_condition(data, candidate):
     that does not span R^D the check is lenient: a solve in a span of rank
     r < D needs a share above dim/r, and this counts against dim/D.
     """
-    points, _ = _prepare(data)
-    n, dim = points.shape
-    if candidate.ambient_dim != dim:
-        raise ValueError(
-            f"candidate lives in dimension {candidate.ambient_dim}, data in {dim}"
-        )
-    count = int(np.count_nonzero(_members(points, candidate.basis)))
+    members = subspace_members(data, candidate)
+    n, dim = members.size, candidate.ambient_dim
+    count = int(np.count_nonzero(members))
     return ConditionReport(
         holds=bool(count * dim > candidate.dim * n),
         method="exhaustive",

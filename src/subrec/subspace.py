@@ -174,6 +174,8 @@ def subspace_members(points, subspace):
     after an exact power-of-two scaling of each, where their squared
     norms neither overflow nor underflow.
     """
+    if not isinstance(subspace, Subspace):
+        raise ValueError(f"subspace must be a Subspace, got {type(subspace).__name__}")
     points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(

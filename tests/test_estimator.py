@@ -64,7 +64,7 @@ def standard_basis(dim):
 
 
 def one_pass(inverse, points, moment):
-    """The solver's pass over ``points`` with fresh forms and block arrays."""
+    """The solver's pass over ``points`` with fresh forms, block and ones arrays."""
     return subrec.estimator._pass(
         inverse, points, moment, *subrec.estimator._scratch(*points.shape)
     )
@@ -99,6 +99,9 @@ def test_check_points_accepts_lists():
         # a zero row and a NaN: the NaN is reported, as it always was
         (np.array([[0.0, 0.0], [1.0, np.nan]]), "non-finite"),
         (np.array([[1.0, np.nan], [0.0, 0.0]]), "non-finite"),
+        # a cast to float would keep the real part alone
+        (np.ones((4, 2)) + 1j, "must be real, got complex128"),
+        ([[1.0, 2.0], [3.0, 1j]], "must be real"),
     ],
 )
 def test_check_points_rejects(bad, match):
@@ -399,19 +402,20 @@ def test_blocked_pass_matches_one_block(monkeypatch, n, dim):
 
 @pytest.mark.parametrize("n, dim", [(7, 3), (2 * _BLOCK + 3, 20)])
 def test_pass_reuses_its_arrays_bit_for_bit(n, dim):
-    # estimate hands every pass one forms array and one block scratch; what
-    # an earlier pass left in them changes no bit of the next pass
+    # estimate hands every pass one forms array, one block scratch and one
+    # vector of ones; what an earlier pass left in them changes no bit of
+    # the next pass
     rng = np.random.default_rng(n * dim)
     points = random_points(rng, n, dim)
     _, inverse = subrec.estimator._cholesky(random_spd(rng, dim))
     fresh_q, fresh_step = one_pass(inverse, points, True)
-    forms, scratch = subrec.estimator._scratch(n, dim)
+    forms, scratch, ones = subrec.estimator._scratch(n, dim)
     assert scratch.shape == (dim, min(n, _BLOCK)) and scratch.flags.f_contiguous
     scratch.fill(np.nan)
     _, other = subrec.estimator._cholesky(random_spd(rng, dim))
-    subrec.estimator._pass(other, points, True, forms, scratch)
-    q, step = subrec.estimator._pass(inverse, points, True, forms, scratch)
-    assert q is forms
+    subrec.estimator._pass(other, points, True, forms, scratch, ones)
+    q, step = subrec.estimator._pass(inverse, points, True, forms, scratch, ones)
+    assert q is forms and ones.tobytes() == np.ones(dim).tobytes()
     assert q.tobytes() == fresh_q.tobytes() and step.tobytes() == fresh_step.tobytes()
     assert not np.shares_memory(step, scratch)
 
@@ -654,6 +658,10 @@ def test_estimator_config_validation():
     for good in (np.float64(1e-8), np.float32(1e-8), np.int64(1), 1):
         plain = estimate(INTERIOR, EstimatorConfig(tol=float(good)))
         assert estimate(INTERIOR, EstimatorConfig(tol=good)).iterations == plain.iterations
+    # a dict or a bare tol would fail with an untyped AttributeError
+    for bad in ({"tol": 1e-3}, 1e-3, "default"):
+        with pytest.raises(ValueError, match="config must be an EstimatorConfig"):
+            estimate(INTERIOR, config=bad)
 
 
 # ---------------------------------------------------------- breakdown handling

@@ -54,6 +54,16 @@ def test_sweep_rows():
     for bad in ("0.01", True, None):
         with pytest.raises(ValueError, match="noise must be a number"):
             noise_sweep(4, 2, 12, 6, [0.0, bad], trials=2, seed=3)
+    # trial i runs seed + i: None would fail with a bare TypeError, True run as 1
+    for bad, message in [
+        (None, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        (-1, "seed must be at least 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            exact_recovery_sweep(4, 2, 6, [8], trials=1, seed=bad)
+        with pytest.raises(ValueError, match=message):
+            noise_sweep(4, 2, 12, 6, [0.0], trials=1, seed=bad)
 
 
 def test_sweep_is_thread_count_independent():

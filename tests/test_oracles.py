@@ -23,7 +23,7 @@ from subrec.oracles import (
     uniqueness_condition,
 )
 from subrec.subspace import Subspace, subspace_members
-from subrec.synthetic import SyntheticModel, generate
+from subrec.synthetic import SyntheticModel, general_position_check, generate
 
 COLLINEAR = np.array(
     [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [0.3, 1.0], [-0.2, 1.0]]
@@ -302,6 +302,18 @@ def test_recovery_boundary_is_not_enough():
 def test_recovery_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         recovery_condition(np.eye(3), E1)
+    # recovery_condition counts through subspace_members: one dimension check,
+    # so the same mismatch gives the same message from both
+    messages = []
+    for check in (recovery_condition, subspace_members):
+        with pytest.raises(ValueError) as caught:
+            check(np.eye(3), E1)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] == "points live in dimension 3, subspace in 2"
+    # a basis array where a Subspace belongs is named, not an AttributeError
+    for check in (recovery_condition, subspace_members, general_position_check):
+        with pytest.raises(ValueError, match="subspace must be a Subspace, got ndarray"):
+            check(COLLINEAR, E1.basis)
 
 
 # ------------------------------------------------------------ majorization gap
