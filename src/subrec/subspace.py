@@ -174,9 +174,13 @@ def subspace_members(points, subspace):
     after an exact power-of-two scaling of each, where their squared
     norms neither overflow nor underflow.
     """
+    return _prepared_members(_prepare(points)[0], subspace)
+
+
+def _prepared_members(points, subspace):
+    """:func:`subspace_members` of rows :func:`_prepare` has already scaled."""
     if not isinstance(subspace, Subspace):
         raise ValueError(f"subspace must be a Subspace, got {type(subspace).__name__}")
-    points, _ = _prepare(points)
     if points.shape[1] != subspace.ambient_dim:
         raise ValueError(
             f"points live in dimension {points.shape[1]}, "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import _check_number, _prepare
 from .oracles import _subset_chunks, iter_subsets
-from .subspace import Subspace, _rank, subspace_members
+from .subspace import Subspace, _prepared_members, _rank
 
 __all__ = [
     "SyntheticModel",
@@ -124,7 +124,7 @@ def general_position_check(data, truth, seed=0):
     """
     _check_number("seed", seed, least=0)
     points, _ = _prepare(data)
-    inside = subspace_members(points, truth)  # checks the dimensions
+    inside = _prepared_members(points, truth)  # checks the type and dimensions
     member_coords = points[inside] @ truth.basis
     complement = np.linalg.qr(truth.basis, mode="complete")[0][:, truth.dim :]
     rest_coords = points[~inside] @ complement

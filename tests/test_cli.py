@@ -263,6 +263,45 @@ def test_points_csv_blocks_write_format_float_bytes(tmp_path, dim):
         assert back.tobytes() == points[:n].tobytes()
 
 
+def test_points_csv_writes_format_float_bytes_at_the_edges(tmp_path, monkeypatch):
+    # the writer's numpy digits, value by value against format_float, on
+    # random bit patterns and on the values its fast path must either get
+    # right or hand to format_float
+    rng = np.random.default_rng(31)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.array([1e-200, 1e200])
+    cases = np.concatenate([
+        [0.0, np.inf, np.nan],
+        np.ldexp(1.0, np.arange(-1074, 1024)),  # 2**-n is a tie at 17 digits for n >= 25
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        [float(10**p + d) for p in (16, 17) for d in range(-3, 4)],
+        edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf),
+    ])
+    bits = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
+    values = np.concatenate([cases, -cases, bits])
+    texts = [format_float(v) for v in values.tolist()]
+    handed = []
+
+    def counted(value):
+        handed.append(value)
+        return format_float(value)
+
+    monkeypatch.setattr(fileio, "format_float", counted)
+    path = tmp_path / "pts.csv"
+    for width in (1, 3, 20):
+        size = values.size // width * width
+        header = ",".join(f"x{i}" for i in range(width)) + "\n"
+        lines = [",".join(texts[i:i + width]) + "\n" for i in range(0, size, width)]
+        handed.clear()
+        write_points_csv(path, values[:size].reshape(-1, width))
+        assert path.read_bytes() == (header + "".join(lines)).encode(), width
+        # ties, infinities, NaNs and magnitudes off [1e-200, 1e200) take
+        # the fallback, and not every value does
+        assert {2.0**-25, -np.inf, 1e-300} <= set(handed)
+        assert any(np.isnan(handed))
+        assert 0 < len(handed) < size
+
+
 @pytest.mark.parametrize(
     "shape", [(), (3,), (2, 2, 2), (3, 0), (0, 3)],
     ids=["0-d", "1-d", "3-d", "no-columns", "no-rows"],
@@ -271,6 +310,13 @@ def test_points_csv_writer_refuses_what_it_cannot_read_back(tmp_path, shape):
     path = tmp_path / "pts.csv"
     with pytest.raises(ValueError, match="2-d array with rows and columns"):
         write_points_csv(path, np.zeros(shape))
+    assert not path.exists()
+
+
+def test_points_csv_writer_refuses_complex_points(tmp_path):
+    path = tmp_path / "pts.csv"
+    with pytest.raises(ValueError, match="points must be real, got complex128"):
+        write_points_csv(path, [[1 + 2j, 3]])
     assert not path.exists()
 
 

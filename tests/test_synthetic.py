@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from reference import stacked_generate
 
+from subrec import estimator, subspace, synthetic
 from subrec.estimator import fixed_point_step, objective
 from subrec.subspace import Subspace, span_of_points
 from subrec.synthetic import SyntheticModel, general_position_check, generate
@@ -246,6 +247,22 @@ def test_general_position_rejects_duplicate_outliers():
     ]:
         with pytest.raises(ValueError, match=message):
             general_position_check(points, truth, seed=bad)
+
+
+def test_general_position_prepares_the_data_once(monkeypatch):
+    # the member mask is taken on the rows the check has already scaled
+    calls = []
+
+    def counted(data):
+        calls.append(1)
+        return estimator._prepare(data)
+
+    for module in (synthetic, subspace):
+        monkeypatch.setattr(module, "_prepare", counted)
+    points, truth = generate(SyntheticModel(4, 2, 6, 4, seed=3))
+    points[0] *= 1e-200
+    assert general_position_check(points, truth)
+    assert len(calls) == 1
 
 
 def test_general_position_on_generated_data():
