@@ -73,14 +73,15 @@ def write_points_csv(path, points):
 # product of |v| and the double nearest 10**(16 - e), plus |v| times the
 # power's remainder.  It is within about 1e-14 of the exact product, so n is
 # taken only where the product's fraction is more than _NEAR_HALF from 1/2.
-# Zeros are written directly; every other value (ties and near ties, an n
-# off [1e16, 1e17) where log10 is off by one or rounding carries, other
-# magnitudes, inf and NaN) goes through format_float.
+# Every other value (ties and near ties, an n off [1e16, 1e17) where log10
+# is off by one or rounding carries, other magnitudes, inf and NaN) goes
+# through format_float.  Zeros, 2/5 of the values of a synth set with
+# D = 20 and d = 4, are laid out with the exponent-0 group.
 _SPLIT = 2.0**27 + 1  # Dekker's splitter of a double into two 26-bit halves
 _NEAR_HALF = 1e-9
 _PAD = 0  # no text has it, and it sorts below "." and "0" for _lay_out
 _CELL = 25  # the sign and the longest %.17g text, 24 bytes, and a separator
-_ZERO, _OTHER = 1000, 1001  # sort keys after every exponent
+_OTHER = 1000  # the sort key of format_float's values, after every exponent
 
 
 def _ten_powers(low, high):
@@ -139,8 +140,11 @@ def _format_block(values, seps):
     fast &= (np.abs(rest - 0.5) > _NEAR_HALF) & (digits >= 10**16)
     digits += rest > 0.5
     fast &= digits < 10**17
+    zero = values == 0  # the digits 0 at exponent 0 (mag 1.0 above) lay out as "0"
+    digits[zero] = 0
+    fast |= zero
 
-    key = np.where(fast, exp, np.where(values == 0, _ZERO, _OTHER)).astype(np.int16)
+    key = np.where(fast, exp, _OTHER).astype(np.int16)
     order = np.argsort(key, kind="stable")  # one pass of groups by exponent
     key = key[order]
     bounds = [0, *(np.flatnonzero(np.diff(key)) + 1).tolist(), size]
@@ -149,9 +153,7 @@ def _format_block(values, seps):
     cells[:, 0] = np.signbit(values[order]) * np.uint8(ord("-"))
     for start, stop in zip(bounds, bounds[1:]):
         group = int(key[start])
-        if group == _ZERO:
-            cells[start:stop, 1] = ord("0")
-        elif group == _OTHER:
+        if group == _OTHER:
             other = [format_float(v) for v in values[order[start:stop]].tolist()]
             other = np.array(other, f"S{_CELL - 1}")  # padded with zero bytes, _PAD
             cells[start:stop, :-1] = other.view(np.uint8).reshape(stop - start, -1)

@@ -296,9 +296,10 @@ def test_points_csv_writes_format_float_bytes_at_the_edges(tmp_path, monkeypatch
         write_points_csv(path, values[:size].reshape(-1, width))
         assert path.read_bytes() == (header + "".join(lines)).encode(), width
         # ties, infinities, NaNs and magnitudes off [1e-200, 1e200) take
-        # the fallback, and not every value does
+        # the fallback, and not every value does: zeros do not
         assert {2.0**-25, -np.inf, 1e-300} <= set(handed)
         assert any(np.isnan(handed))
+        assert 0.0 not in handed
         assert 0 < len(handed) < size
 
 
