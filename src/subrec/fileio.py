@@ -5,8 +5,8 @@ All text files are UTF-8 with LF line endings.  Floats are written with
 plain NaN) round-trips bit-exactly, so a rerun is byte-identical.  Points
 are written in row blocks whose digits a numpy kernel makes, with
 :func:`format_float` for the values it hands over (ties, inf, NaN, and
-magnitudes off [1e-200, 1e200)); the bytes are :func:`format_float`'s
-text of every value.  Both points parsers
+nonzero magnitudes off [1e-200, 1e200)); the bytes are
+:func:`format_float`'s text of every value.  Both points parsers
 split lines as ``str.splitlines`` does and skip whitespace-only ones.  A
 line parser, which names a bad line, reads a file ``np.loadtxt`` rejects,
 or with a width unlike its header's, a blank body, US, or non-UTF-8 bytes.
