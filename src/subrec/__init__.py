@@ -13,7 +13,6 @@ from .estimator import (
     IterationRecord,
     NotSPDError,
     Termination,
-    check_points,
     ensure_symmetric,
     estimate,
     fixed_point_step,
@@ -60,7 +59,6 @@ __all__ = [
     "Subspace",
     "SyntheticModel",
     "Termination",
-    "check_points",
     "convergence_run",
     "ensure_symmetric",
     "estimate",

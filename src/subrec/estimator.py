@@ -42,7 +42,6 @@ __all__ = [
     "IterationRecord",
     "EstimateResult",
     "ensure_symmetric",
-    "check_points",
     "quadratic_forms",
     "objective",
     "fixed_point_step",
@@ -163,6 +162,14 @@ def _check_number(name, value, least=None, integer=True):
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _real_array(value, name):
+    """``value`` as a float array; complex input, which the cast cuts to its real part, raises."""
+    array = np.asarray(value)
+    if array.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got {array.dtype}")
+    return np.asarray(array, dtype=float)
+
+
 class Termination(str, Enum):
     """How a solver run ended."""
 
@@ -223,24 +230,13 @@ class EstimateResult:
     iterations: int
 
 
-def check_points(data):
-    """Validate a data set and return it as a float ``(N, D)`` array.
-
-    Rejects complex or non-2d input, empty axes, non-finite entries, and
-    zero rows (a zero point has an undefined direction and breaks every
-    quadratic form the estimator relies on).
-    """
-    return _validate(data)[0]
-
-
 def _validate(data):
-    """``(points, top)``: the array :func:`check_points` returns and each
-    row's largest magnitude, or None for ``top`` when the row norms show
-    that :func:`_prepare` scales no row."""
-    points = np.asarray(data)
-    if points.dtype.kind == "c":  # the cast would keep the real part alone
-        raise ValueError(f"data must be real, got {points.dtype}")
-    points = np.asarray(points, dtype=float)
+    """``(points, top)``: the data as a float ``(N, D)`` array and each row's
+    largest magnitude, or None for ``top`` when the row norms show that
+    :func:`_prepare` scales no row.  Complex or non-2d input, empty axes,
+    non-finite entries and zero rows (a zero point has no direction and
+    breaks every quadratic form) are rejected."""
+    points = _real_array(data, "data")
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
     n, dim = points.shape
@@ -266,7 +262,7 @@ def _prepare(data):
     """Validate the data and scale its rows: ``(prepared, offset)``.
 
     ``prepared`` is each row ``x`` of the validated float array
-    :func:`check_points` returns, times ``2**-e_x``.  Every row takes the
+    :func:`_validate` returns, times ``2**-e_x``.  Every row takes the
     exponent ``E`` of the largest entry when ``|E| > _SAFE_EXPONENT`` (the
     largest entry in ``[2**(E-1), 2**E)``), else 0; a row whose largest
     entry is still below ``2**-(_SAFE_EXPONENT + 1)`` takes its own, which
@@ -306,11 +302,11 @@ def ensure_symmetric(mat):
     Raises
     ------
     ValueError
-        If ``mat`` is not square, has non-finite entries, or deviates
+        If ``mat`` is complex or not square, has non-finite entries, or deviates
         from symmetry by more than ``SYMMETRY_RTOL`` (1e-12) in relative
         Frobenius norm.
     """
-    mat = np.asarray(mat, dtype=float)
+    mat = _real_array(mat, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     # Frobenius norms in numpy's own loops: np.linalg.norm's BLAS dot costs
@@ -427,7 +423,7 @@ def _log_det(lower):
 
 def quadratic_forms(sigma, data):
     """Evaluate ``x' inv(sigma) x`` for every row ``x`` of ``data``."""
-    return _factor(sigma, check_points(data), "quadratic_forms")[1]
+    return _factor(sigma, _validate(data)[0], "quadratic_forms")[1]
 
 
 def objective(sigma, data):

@@ -19,6 +19,7 @@ from itertools import chain
 
 import numpy as np
 
+from .estimator import _real_array
 from .subspace import Subspace
 
 __all__ = [
@@ -51,10 +52,7 @@ def write_points_csv(path, points):
 
     Each value is written as :func:`format_float` writes it.
     """
-    points = np.asarray(points)
-    if points.dtype.kind == "c":  # the cast would keep the real part alone
-        raise ValueError(f"points must be real, got {points.dtype}")
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, "points")
     if points.ndim != 2 or 0 in points.shape:
         raise ValueError(f"points must be a 2-d array with rows and columns, got {points.shape}")
     width = points.shape[1]
@@ -282,8 +280,9 @@ def write_truth_json(path, subspace):
 def read_truth_json(path):
     """Read a subspace written by :func:`write_truth_json`.
 
-    Every ``ValueError`` from reading, decoding or shaping the file
-    starts with the path.
+    ``D`` and ``d`` must be integers with ``1 <= d <= D``, and ``basis`` a
+    flat list of ``D * d`` JSON numbers.  Every ``ValueError`` from reading,
+    decoding or shaping the file starts with the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as src:
@@ -292,10 +291,14 @@ def read_truth_json(path):
         if any(isinstance(size, bool) or int(size) != size for size in sizes):
             raise ValueError(f"D and d must be integers, found {sizes}")
         ambient, dim = map(int, sizes)
-        flat = np.asarray(payload["basis"], dtype=float)
-        if flat.size != ambient * dim:
-            raise ValueError(f"basis has {flat.size} entries, expected {ambient * dim}")
-        return Subspace(flat.reshape(ambient, dim))
+        if not 1 <= dim <= ambient:
+            raise ValueError(f"need 1 <= d <= D, got D={ambient} and d={dim}")
+        flat = payload["basis"]
+        if type(flat) is not list or any(type(v) not in (int, float) for v in flat):
+            raise ValueError(f"basis must be a flat list of numbers, found {flat!r:.60}")
+        if len(flat) != ambient * dim:
+            raise ValueError(f"basis has {len(flat)} entries, expected {ambient * dim}")
+        return Subspace(np.asarray(flat, dtype=float).reshape(ambient, dim))
     except (KeyError, TypeError) as err:
         raise ValueError(f"{path}: not a truth file ({err})") from None
     except (ValueError, OverflowError) as err:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -71,17 +71,16 @@ def iter_subsets(n, sizes, rng=None):
     over all ``sizes`` is at most ``EXHAUSTIVE_LIMIT`` the iterator is
     exhaustive; otherwise it yields ``RANDOM_SUBSETS`` random subsets
     with sizes drawn uniformly from ``sizes`` (requires ``rng``), drawn
-    ``_CHUNK`` at a time: reproducible per seed.
+    ``_CHUNK`` at a time: reproducible per seed.  ``n`` is an integer
+    of at least 0 and every size an integer; sizes off 1..n are skipped.
     """
+    _check_number("n", n, least=0)
+    sizes = list(sizes)
+    for k in sizes:
+        _check_number("subset size", k)
     sizes = [k for k in sizes if 1 <= k <= n]
-    if not sizes:
-        return "exhaustive", iter(())
-    total = sum(math.comb(n, k) for k in sizes)
-    if total <= EXHAUSTIVE_LIMIT:
-        def exhaustive():
-            for k in sizes:
-                yield from combinations(range(n), k)
-        return "exhaustive", exhaustive()
+    if sum(math.comb(n, k) for k in sizes) <= EXHAUSTIVE_LIMIT:
+        return "exhaustive", chain.from_iterable(combinations(range(n), k) for k in sizes)
     if rng is None:
         raise ValueError("randomized subset sampling needs an rng")
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimator import _check_number, _prepare, ensure_symmetric
+from .estimator import _check_number, _prepare, _real_array, ensure_symmetric
 
 __all__ = [
     "AmbiguousSubspaceWarning",
@@ -54,7 +54,7 @@ class Subspace:
     """
 
     def __init__(self, basis):
-        basis = np.asarray(basis, dtype=float)
+        basis = _real_array(basis, "basis")
         if basis.ndim != 2:
             raise ValueError(f"basis must be 2-d, got ndim={basis.ndim}")
         ambient, dim = basis.shape
@@ -196,9 +196,9 @@ def span_of_points(points):
     ``(ambient_dim, rank)`` with orthonormal columns.  Rank counts the
     singular values above 1e-10 times the largest one; a rank of zero
     (all rows zero) returns an empty basis.  Zero rows are allowed;
-    non-finite entries raise ``ValueError``.
+    complex or non-finite entries raise ``ValueError``.
     """
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, "points")
     if points.ndim != 2:
         raise ValueError(f"expected a 2-d array of row points, got ndim={points.ndim}")
     if not np.isfinite(points).all():

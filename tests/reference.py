@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from subrec.estimator import _SAFE_EXPONENT, check_points
+from subrec.estimator import _SAFE_EXPONENT, _validate
 from subrec.oracles import ConditionReport, iter_subsets
 from subrec.subspace import Subspace, span_of_points, subspace_members
 
@@ -207,4 +207,4 @@ def stacked_generate(model):
     points = np.vstack(blocks)
     if model.noise > 0.0:
         points = points + model.noise * rng.standard_normal(points.shape)
-    return check_points(points), Subspace(basis)
+    return _validate(points)[0], Subspace(basis)

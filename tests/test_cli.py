@@ -348,7 +348,14 @@ def test_truth_json_rejects_garbage(tmp_path):
         ('{"D": 1, "d": true, "basis": [1.0]}\n', "D and d must be integers"),
         ('{"D": "2", "d": 1, "basis": [1.0, 0.0]}\n', "D and d must be integers"),
         ('{"D": Infinity, "d": 1, "basis": [1.0]}\n', "cannot convert float infinity"),
-        ('{"D": -1, "d": -1, "basis": [1.0]}\n', "can only specify one unknown dimension"),
+        ('{"D": -1, "d": -1, "basis": [1.0]}\n', "need 1 <= d <= D, got D=-1 and d=-1"),
+        ('{"D": 2, "d": 3, "basis": [1.0]}\n', "need 1 <= d <= D, got D=2 and d=3"),
+        ('{"D": 2, "d": 0, "basis": []}\n', "need 1 <= d <= D"),
+        # a basis is a flat list of numbers: strings, bools and nested rows are not e1
+        ('{"D": 2, "d": 1, "basis": ["1", "0"]}\n', "basis must be a flat list of numbers"),
+        ('{"D": 2, "d": 1, "basis": [true, false]}\n', "basis must be a flat list of numbers"),
+        ('{"D": 2, "d": 1, "basis": [[1.0, 0.0]]}\n', "basis must be a flat list of numbers"),
+        ('{"D": 1, "d": 1, "basis": 1.0}\n', "basis must be a flat list of numbers"),
         ("not json\n", "Expecting value"),
     ]:
         path.write_text(text)

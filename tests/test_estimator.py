@@ -32,7 +32,7 @@ from subrec.estimator import (
     EstimatorConfig,
     NotSPDError,
     Termination,
-    check_points,
+    _validate,
     ensure_symmetric,
     estimate,
     fixed_point_step,
@@ -41,7 +41,7 @@ from subrec.estimator import (
 )
 from subrec.experiments import exact_recovery_sweep
 from subrec.oracles import majorization_gap
-from subrec.subspace import Subspace, recovery_error, top_d_subspace
+from subrec.subspace import Subspace, recovery_error, span_of_points, top_d_subspace
 from subrec.synthetic import SyntheticModel, generate
 
 # three collinear inliers on span{e1} plus two outliers: inlier
@@ -77,11 +77,11 @@ def observed(data, config=None):
     return result, records
 
 
-# ---------------------------------------------------------------- check_points
+# ---------------------------------------------------------------- data intake
 
 
 def test_check_points_accepts_lists():
-    out = check_points([[1, 2], [3, 4]])
+    out = _validate([[1, 2], [3, 4]])[0]
     assert out.dtype == float and out.shape == (2, 2)
 
 
@@ -106,7 +106,7 @@ def test_check_points_accepts_lists():
 )
 def test_check_points_rejects(bad, match):
     with pytest.raises(ValueError, match=match):
-        check_points(bad)
+        _validate(bad)[0]
     # every entry point validates the same way
     with pytest.raises(ValueError, match=match):
         estimate(bad)
@@ -114,20 +114,20 @@ def test_check_points_rejects(bad, match):
 
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 def test_check_points_returns_the_data_unscaled(scale):
-    # the solver rescales extreme data internally; check_points does not
+    # the solver rescales extreme data internally; _validate does not
     data = random_points(np.random.default_rng(32), 9, 3) * scale
-    out = check_points(data)
+    out = _validate(data)[0]
     assert out.tobytes() == data.tobytes()
-    assert check_points(data.tolist()).tobytes() == data.tobytes()
+    assert _validate(data.tolist())[0].tobytes() == data.tobytes()
 
 
 def test_check_points_makes_no_copy_of_extreme_data():
     # the validation ends before the scaling: at a scale that _prepare
-    # rescales, check_points still allocates no (N, D) array
+    # rescales, _validate still allocates no (N, D) array
     data = random_points(np.random.default_rng(34), 4000, 50) * 1e200
     tracemalloc.start()
     try:
-        out = check_points(data)
+        out = _validate(data)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,7 +173,7 @@ def test_prepare_matches_the_per_row_rule(case):
         bound = {"low": 2.0 * 2.0**-514, "high": 2.0**512}[bound]
         toward = {"below": 0.0, "above": math.inf}[side]
         assert np.einsum("ij,ij->i", data, data)[1] == np.nextafter(bound, toward)
-    assert check_points(data) is data
+    assert _validate(data)[0] is data
     prepared, offset = subrec.estimator._prepare(data)
     expected, expected_offset = per_row_prepared(data)
     assert prepared.tobytes() == expected.tobytes()
@@ -209,6 +209,37 @@ def test_ensure_symmetric_rejects_nonsquare_and_nonfinite():
         ensure_symmetric(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         ensure_symmetric(np.array([[1.0, 0.0], [0.0, -np.inf]]))
+
+
+# a Hermitian matrix: a cast to float would keep its real part, I / 3, alone
+COMPLEX_SIGMA = np.eye(3) / 3 + 0.1j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+REAL_SIGMA = np.eye(3) / 3
+SPANNING_POINTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, kind",
+    [
+        (lambda: objective(COMPLEX_SIGMA, SPANNING_POINTS), "matrix"),
+        (lambda: fixed_point_step(COMPLEX_SIGMA, SPANNING_POINTS), "matrix"),
+        (lambda: quadratic_forms(COMPLEX_SIGMA, SPANNING_POINTS), "matrix"),
+        (lambda: majorization_gap(COMPLEX_SIGMA, REAL_SIGMA, SPANNING_POINTS), "matrix"),
+        (lambda: majorization_gap(REAL_SIGMA, COMPLEX_SIGMA, SPANNING_POINTS), "matrix"),
+        (lambda: top_d_subspace(COMPLEX_SIGMA, 1), "matrix"),
+        (lambda: ensure_symmetric(COMPLEX_SIGMA), "matrix"),
+        (lambda: Subspace(np.eye(3)[:, :2] + 0j), "basis"),
+        (lambda: span_of_points(SPANNING_POINTS * 1j), "points"),
+    ],
+    ids=[
+        "objective", "fixed_point_step", "quadratic_forms", "majorization_gap-sigma",
+        "majorization_gap-anchor", "top_d_subspace", "ensure_symmetric", "Subspace",
+        "span_of_points",
+    ],
+)
+def test_complex_arrays_are_rejected_at_every_entry(call, kind):
+    # one intake for every array argument, data, sigma, anchor, basis and points
+    with pytest.raises(ValueError, match=f"^{kind} must be real, got complex128$"):
+        call()
 
 
 def test_ensure_symmetric_accepts_squares_that_overflow():

@@ -1,5 +1,6 @@
 """Certificate checks: subset enumeration, both conditions, the descent gap."""
 
+import re
 import warnings
 
 import numpy as np
@@ -69,6 +70,23 @@ def test_iter_subsets_empty():
     method, subsets = iter_subsets(3, [])
     assert method == "exhaustive"
     assert list(subsets) == []
+
+
+@pytest.mark.parametrize(
+    "n, sizes, match",
+    [
+        (5, [2.0], "subset size must be an integer, got 2.0"),
+        (5, [True], "subset size must be an integer, got True"),
+        # a bad size is refused even where it would be skipped
+        (2, [1, 3.0], "subset size must be an integer, got 3.0"),
+        (5.0, [2], "n must be an integer, got 5.0"),
+        (True, [1], "n must be an integer, got True"),
+        (-1, [1], "n must be at least 0, got -1"),
+    ],
+)
+def test_iter_subsets_rejects_non_integers(n, sizes, match):
+    with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+        iter_subsets(n, sizes)
 
 
 def test_iter_subsets_randomized():
